@@ -13,7 +13,6 @@ from .finite import UNIT as UNIT_STRAT
 from .finite import total_fn
 from .games import OpenGame, seq_compose, tensor_games, unit_game
 from .lenses import (
-    Lens,
     UNIT_DISET,
     assoc_lens,
     diset_tensor,
@@ -157,27 +156,6 @@ def symmetry_cell(g, h) -> GameMorphism:
         swap_lens(h.src, g.src),
         swap_lens(h.dst, g.dst),
         total_fn(gh.strategies, hg.strategies, lambda s: (s[1], s[0])),
-    )
-
-
-def unit_cell(lens: Lens) -> GameMorphism:
-    """The image of a lens under the trivial-game functor, contravariantly."""
-    return GameMorphism(
-        unit_game(lens.cod),
-        unit_game(lens.dom),
-        lens,
-        lens,
-        total_fn(unit_game(lens.cod).strategies, unit_game(lens.dom).strategies, lambda s: s),
-    )
-
-
-def lens_cell(before: Lens, after: Lens, g: OpenGame) -> GameMorphism:
-    """Reindex g along lenses on both boundaries, as a morphism from g."""
-    from .games import reindex_source, reindex_target
-
-    out = reindex_target(reindex_source(g, before), after)
-    return GameMorphism(
-        g, out, before, after, total_fn(g.strategies, out.strategies, lambda s: s)
     )
 
 

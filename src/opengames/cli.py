@@ -8,8 +8,9 @@ reported only when asked, so identical invocations produce identical
 bytes.
 
 Exit codes: 0 on success (an empty result list is still success), 1 for
-domain errors (ill-typed continuations, infeasible enumerations, failed
-laws), 2 for usage and parse errors.
+domain errors while solving (ill-typed continuations, infeasible
+enumerations, failed laws), 2 for usage errors and for any error in the
+document, enumeration limits hit while reading it included.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .cells import (
 from .classical import brute_nash, normalize_extensive, oracle_spe
 from .dsl import format_document, parse_document
 from .errors import EngineError, SourceError, TypeMismatch
-from .expr import certificate_to_json, eval_expr, separable_states_over, states_over
-from .finite import UNIT, UNIT_SET, total_fn, value_to_json
+from .expr import eval_expr
+from .finite import UNIT, UNIT_SET, total_fn
 from .lenses import (
     apply_continuation,
     lens_compose,
@@ -46,7 +47,7 @@ from .sampling import (
     random_game,
     random_lens_chain,
 )
-from .solve import nash_normal_form, nash_sequential, spe_sequential
+from .solve import SolutionReport, solve_expr, solve_normal_form, solve_sequential
 
 
 class UsageError(Exception):
@@ -59,10 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_seed=True):
+    def common(p):
         p.add_argument("--format", choices=["json", "text"], default="json")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-table", type=int, default=16,
                        help="largest table rendered in witnesses")
         p.add_argument("--timing", action="store_true",
@@ -178,40 +178,29 @@ def _expr_continuation(doc, expr_name, flag):
     return k
 
 
+def _solve_target(doc, kind, name, args) -> SolutionReport:
+    if kind == "expr":
+        k = _expr_continuation(doc, name, args.continuation)
+        return solve_expr(doc.exprs[name], k, args.mode)
+    if kind == "normal-form":
+        return solve_normal_form(doc.normal_forms[name])
+    if kind == "sequential":
+        return solve_sequential(doc.sequentials[name], args.mode)
+    eg = doc.extensives[name]
+    if args.mode == "nash":
+        profiles = brute_nash(normalize_extensive(eg))
+    else:
+        profiles = oracle_spe(eg)
+    return SolutionReport(args.mode, "", tuple(profiles), ())
+
+
 def _cmd_solve(args):
     doc = parse_document(_read_input(args.input))
     kind, name = _pick_target(doc, args.mode, args.expr)
     if args.continuation is not None and args.mode not in ("states", "separable"):
         raise UsageError("--continuation only applies to states and separable")
-
-    witnesses = []
-    if kind == "expr":
-        expr = doc.exprs[name]
-        k = _expr_continuation(doc, name, args.continuation)
-        if args.mode == "states":
-            results = [value_to_json(p) for p in states_over(expr, k)]
-        else:
-            pairs = separable_states_over(expr, k)
-            results = [value_to_json(p) for p, _ in pairs]
-            witnesses = [certificate_to_json(c, args.max_table) for _, c in pairs]
-    elif kind == "normal-form":
-        results = [value_to_json(p) for p in nash_normal_form(doc.normal_forms[name])]
-    elif kind == "sequential":
-        sq = doc.sequentials[name]
-        if args.mode == "nash":
-            results = [value_to_json(p) for p in nash_sequential(sq)]
-        else:
-            pairs = spe_sequential(sq)
-            results = [value_to_json(p) for p, _ in pairs]
-            witnesses = [certificate_to_json(c, args.max_table) for _, c in pairs]
-    else:
-        eg = doc.extensives[name]
-        solver = brute_nash if args.mode == "nash" else oracle_spe
-        if args.mode == "nash":
-            results = [value_to_json(p) for p in solver(normalize_extensive(eg))]
-        else:
-            results = [value_to_json(p) for p in solver(eg)]
-    return args.input, results, witnesses, 0
+    body = _solve_target(doc, kind, name, args).to_json(args.max_table)
+    return args.input, body["results"], body.get("witnesses", []), 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +309,14 @@ def bundled_document_text(name=_DEMO_PATH) -> str:
 
 def _cmd_demo(args):
     doc = parse_document(bundled_document_text())
-    expr = doc.exprs["H"]
-    game = eval_expr(expr)
-    k = total_fn(game.dst.forward, UNIT_SET, lambda _: UNIT)
-    states = [value_to_json(p) for p in states_over(expr, k)]
-    pairs = separable_states_over(expr, k)
+    k = _expr_continuation(doc, "H", None)
+    states = solve_expr(doc.exprs["H"], k, "states").to_json(args.max_table)
+    separable = solve_expr(doc.exprs["H"], k, "separable").to_json(args.max_table)
     results = [
-        {"mode": "states", "profiles": states},
-        {"mode": "separable", "profiles": [value_to_json(p) for p, _ in pairs]},
+        {"mode": "states", "profiles": states["results"]},
+        {"mode": "separable", "profiles": separable["results"]},
     ]
-    witnesses = [certificate_to_json(c, args.max_table) for _, c in pairs]
-    return _DEMO_PATH, results, witnesses, 0
+    return _DEMO_PATH, results, separable.get("witnesses", []), 0
 
 
 def _cmd_parse(args):
@@ -366,9 +352,8 @@ def main(argv=None) -> int:
     if input_name is None:  # textual parse output was already written
         return status
     elapsed = round((time.perf_counter() - started) * 1000, 3) if args.timing else None
-    seed = getattr(args, "seed", 0)
     report = _report(
-        args.command, input_name, seed, args.max_table, results, witnesses, elapsed
+        args.command, input_name, args.seed, args.max_table, results, witnesses, elapsed
     )
     if args.format == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")

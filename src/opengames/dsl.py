@@ -43,6 +43,7 @@ from .errors import (
     EngineError,
     NameResolutionError,
     ParseError,
+    SourceError,
 )
 from .expr import Atom, GameExpr, Product, Seq, Tensor, eval_expr
 from .finite import (
@@ -79,6 +80,11 @@ from .lenses import (
 )
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+
+#: Deepest list nesting the reader accepts, far above any real document.
+#: The reader and the analysis recurse once per level, so the cap keeps
+#: hostile input from exhausting the interpreter's stack.
+MAX_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +145,14 @@ def parse_sexprs(text: str):
     tokens = tokenize(text)
     pos = 0
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal pos
         tok = tokens[pos]
         if tok.text == ")":
             raise ParseError("unexpected ')'", tok.line, tok.col)
         if tok.text == "(":
+            if depth == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
             pos += 1
             items = []
             while True:
@@ -153,14 +161,14 @@ def parse_sexprs(text: str):
                 if tokens[pos].text == ")":
                     pos += 1
                     break
-                items.append(parse_node())
+                items.append(parse_node(depth + 1))
             return SExpr(None, tuple(items), tok.line, tok.col)
         pos += 1
         return SExpr(tok.text, None, tok.line, tok.col)
 
     out = []
     while pos < len(tokens):
-        out.append(parse_node())
+        out.append(parse_node(0))
     return out
 
 
@@ -242,7 +250,12 @@ class _Analyzer:
             handler = getattr(self, "_form_" + head.replace("-", "_"), None)
             if handler is None:
                 raise _err(items[0], f"unknown declaration `{head}`")
-            handler(form, items)
+            try:
+                handler(form, items)
+            except SourceError:
+                raise
+            except EngineError as e:  # e.g. a bound hit outside any `_engine` span
+                raise _err(form, str(e)) from e
         return self.doc
 
     # -- shared plumbing ----------------------------------------------------
@@ -357,7 +370,10 @@ class _Analyzer:
             return self._lookup(node, "set")
         items = node.items
         if len(items) == 2 and items[0].is_atom and items[0].atom == "real":
-            return Payoff(_need_int(items[1], "a dimension"))
+            dim = _need_int(items[1], "a dimension")
+            if dim < 0:
+                raise _err(items[1], f"a payoff dimension cannot be negative, found `{dim}`")
+            return Payoff(dim)
         raise _err(node, "expected a set name, `unit` or (real N)")
 
     def _form_diset(self, form, items):

@@ -10,6 +10,7 @@ immutable and hashable, so values can be table keys and set members.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,7 +99,7 @@ def unit_set() -> FiniteSet:
 
 def product_set(a: FiniteSet, b: FiniteSet) -> FiniteSet:
     """Pairs of elements, a-major lexicographic order."""
-    return make_set([(x, y) for x in a for y in b])
+    return flat_product([a, b])
 
 
 def coproduct_set(a: FiniteSet, b: FiniteSet) -> FiniteSet:
@@ -114,7 +115,13 @@ def tagged_union(sets) -> FiniteSet:
 
 
 def flat_product(sets) -> FiniteSet:
-    """n-tuples in lexicographic order; the 0-ary product is {()}."""
+    """n-tuples in lexicographic order; the 0-ary product is {()}.
+
+    The size is checked against `DEFAULT_BOUND` before any tuple is built.
+    """
+    count = math.prod(len(s) for s in sets)
+    if count > DEFAULT_BOUND:
+        raise EnumerationBound(f"{count} tuples exceed bound {DEFAULT_BOUND}")
     return make_set(itertools.product(*sets))
 
 
@@ -375,20 +382,6 @@ def enumerate_functions(dom: FiniteSet, cod: FiniteSet, bound: int = DEFAULT_BOU
     return [
         TotalFn(dom, cod, vals)
         for vals in itertools.product(cod.elements, repeat=len(dom))
-    ]
-
-
-def enumerate_continuations(fwd: FiniteSet, backward, bound: int = DEFAULT_BOUND):
-    """All total functions fwd -> backward for an enumerable backward carrier."""
-    elems = carrier_elements(backward)
-    count = len(elems) ** len(fwd)
-    if count > bound:
-        raise EnumerationBound(
-            f"{len(elems)}^{len(fwd)} = {count} continuations exceeds bound {bound}"
-        )
-    return [
-        TotalFn(fwd, backward, vals)
-        for vals in itertools.product(elems, repeat=len(fwd))
     ]
 
 

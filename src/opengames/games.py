@@ -23,7 +23,6 @@ from .finite import (
     make_set,
     nested_product,
     product_set,
-    tagged_union,
     total_fn,
 )
 from .lenses import (
@@ -32,10 +31,10 @@ from .lenses import (
     Lens,
     MapTree,
     UConst,
-    UProj2,
     USecond,
     apply_continuation,
     copair_lenses,
+    coproduct_diset,
     diset_tensor,
     leaf,
     left_context,
@@ -219,23 +218,9 @@ def product_games(games) -> OpenGame:
     games = list(games)
     if not games:
         raise TypeMismatch("empty product family")
-    s_back = games[0].src.backward
-    r_back = games[0].dst.backward
-    for g in games:
-        if g.src.backward != s_back or g.dst.backward != r_back:
-            raise TypeMismatch("product factors must share backward carriers")
-    src = Diset(tagged_union([g.src.forward for g in games]), s_back)
-    dst = Diset(tagged_union([g.dst.forward for g in games]), r_back)
+    src, _ = coproduct_diset([g.src for g in games])
+    dst, injections = coproduct_diset([g.dst for g in games])
     strategies = flat_product([g.strategies for g in games])
-    injections = [
-        Lens(
-            g.dst,
-            dst,
-            total_fn(g.dst.forward, dst.forward, lambda y, j=j: Tag(j, y)),
-            UProj2(),
-        )
-        for j, g in enumerate(games)
-    ]
 
     def play(sigma):
         return copair_lenses(
@@ -245,7 +230,7 @@ def product_games(games) -> OpenGame:
     def best(hist, k, sigma, dev):
         j = hist.side
         g = games[j]
-        kj = total_fn(g.dst.forward, r_back, lambda y: k(Tag(j, y)))
+        kj = total_fn(g.dst.forward, dst.backward, lambda y: k(Tag(j, y)))
         return g.best(hist.value, kj, sigma[j], dev[j])
 
     return OpenGame(src, dst, strategies, play, best, label="product")

@@ -24,12 +24,10 @@ from .finite import (
     carrier_elements,
     const_fn,
     compose_fn,
-    flat_product,
     identity_fn,
     is_enumerable,
     probe_values,
     product_set,
-    sum_carrier,
     tagged_union,
     tensor_carrier,
     total_fn,
@@ -50,43 +48,8 @@ class Diset:
 UNIT_DISET = Diset(UNIT_SET, UNIT_SET)
 
 
-def unit_diset() -> Diset:
-    return UNIT_DISET
-
-
 def diset_tensor(a: Diset, b: Diset) -> Diset:
     return Diset(product_set(a.forward, b.forward), tensor_carrier(a.backward, b.backward))
-
-
-def product_diset(disets) -> tuple:
-    """Categorical product: forward tuples, backward tagged sum.
-
-    Returns the product diset together with its projection lenses.
-    """
-    disets = list(disets)
-    fwd = flat_product([d.forward for d in disets])
-    back = sum_carrier([d.backward for d in disets])
-    prod = Diset(fwd, back)
-    parts = tuple(d.backward for d in disets)
-    projections = []
-    for j, d in enumerate(disets):
-        view = total_fn(fwd, d.forward, lambda x, j=j: x[j])
-        projections.append(Lens(prod, d, view, USecond(MapInj(parts, j))))
-    return prod, projections
-
-
-def pair_lenses(lenses) -> "Lens":
-    """Mediating lens into a product diset from a family out of a shared diset."""
-    lenses = list(lenses)
-    if not lenses:
-        raise TypeMismatch("empty family")
-    src = lenses[0].dom
-    for l in lenses:
-        if l.dom != src:
-            raise TypeMismatch("product mediator needs a shared domain")
-    prod, _ = product_diset([l.cod for l in lenses])
-    view = total_fn(src.forward, prod.forward, lambda w: tuple(l.view(w) for l in lenses))
-    return Lens(src, prod, view, UCaseR(tuple(l.update for l in lenses)))
 
 
 def coproduct_diset(disets) -> tuple:
@@ -127,41 +90,6 @@ def copair_lenses(lenses) -> "Lens":
 # ---------------------------------------------------------------------------
 
 
-class Mapping:
-    """A map between carriers with a structural description."""
-
-    src = None
-    dst = None
-
-    def apply(self, v):
-        raise NotImplementedError
-
-    def kinds(self, acc: set):
-        acc.add(type(self).__name__)
-
-
-class MapTable(Mapping):
-    """A finite-domain map, backed by a TotalFn."""
-
-    def __init__(self, fn: TotalFn):
-        self.fn = fn
-        self.src = fn.dom
-        self.dst = fn.cod
-
-    def apply(self, v):
-        return self.fn(v)
-
-
-class MapConst(Mapping):
-    def __init__(self, src, dst, value):
-        self.src = src
-        self.dst = dst
-        self.value = value
-
-    def apply(self, v):
-        return self.value
-
-
 def leaf(path=(), take=None):
     return ("leaf", tuple(path), take)
 
@@ -174,8 +102,8 @@ def pair_t(left, right):
     return ("pair", left, right)
 
 
-class MapTree(Mapping):
-    """A rearrangement: the target is rebuilt from paths into the source value.
+class MapTree:
+    """A map between carriers: the target is rebuilt from paths into the source value.
 
     Template nodes are ("pair", l, r), ("lit", value) and
     ("leaf", path, take) where `path` indexes into nested pairs of the
@@ -189,6 +117,9 @@ class MapTree(Mapping):
 
     def apply(self, v):
         return _fill(self.template, v)
+
+    def kinds(self, acc: set):
+        acc.add(type(self).__name__)
 
 
 def _fill(node, v):
@@ -204,58 +135,6 @@ def _fill(node, v):
     if take is None:
         return cur
     return tuple(cur[i] for i in take)
-
-
-class MapInj(Mapping):
-    """Injection of one summand into a tagged sum carrier."""
-
-    def __init__(self, parts, side):
-        self.parts = tuple(parts)
-        self.side = side
-        self.src = self.parts[side]
-        self.dst = sum_carrier(self.parts)
-
-    def apply(self, v):
-        return Tag(self.side, v)
-
-
-class MapCase(Mapping):
-    """Case split on a tagged sum carrier."""
-
-    def __init__(self, branches):
-        self.branches = tuple(branches)
-        self.src = sum_carrier([b.src for b in branches])
-        if any(b.dst != branches[0].dst for b in branches):
-            raise TypeMismatch("case branches must share a codomain")
-        self.dst = branches[0].dst
-
-    def apply(self, v):
-        return self.branches[v.side].apply(v.value)
-
-    def kinds(self, acc):
-        super().kinds(acc)
-        for b in self.branches:
-            b.kinds(acc)
-
-
-class MapCompose(Mapping):
-    def __init__(self, after: Mapping, before: Mapping):
-        self.after = after
-        self.before = before
-        self.src = before.src
-        self.dst = after.dst
-
-    def apply(self, v):
-        return self.after.apply(self.before.apply(v))
-
-    def kinds(self, acc):
-        super().kinds(acc)
-        self.after.kinds(acc)
-        self.before.kinds(acc)
-
-
-def map_identity(carrier) -> Mapping:
-    return MapTree(carrier, carrier, leaf())
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +176,7 @@ class UConst(Update):
 class USecond(Update):
     """Apply a carrier map to the backward value, ignoring the forward one."""
 
-    def __init__(self, mapping: Mapping):
+    def __init__(self, mapping: MapTree):
         self.mapping = mapping
 
     def apply(self, x, r):
@@ -354,25 +233,7 @@ class UCase(Update):
             b.kinds(acc)
 
 
-class UCaseR(Update):
-    """Case split on a tagged backward value (product mediators)."""
-
-    def __init__(self, branches):
-        self.branches = tuple(branches)
-
-    def apply(self, x, r):
-        return self.branches[r.side].apply(x, r.value)
-
-    def kinds(self, acc):
-        super().kinds(acc)
-        for b in self.branches:
-            b.kinds(acc)
-
-
-SANCTIONED = {
-    "UTable", "UProj2", "UConst", "USecond", "UComp", "UTensor", "UCase", "UCaseR",
-    "MapTable", "MapConst", "MapTree", "MapInj", "MapCase", "MapCompose",
-}
+SANCTIONED = {"UTable", "UProj2", "UConst", "USecond", "UComp", "UTensor", "UCase", "MapTree"}
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +280,6 @@ def lens_tensor(a: Lens, b: Lens) -> Lens:
     cod = diset_tensor(a.cod, b.cod)
     view = total_fn(dom.forward, cod.forward, lambda xy: (a.view(xy[0]), b.view(xy[1])))
     return Lens(dom, cod, view, UTensor(a.update, b.update))
-
-
-def lens_from_pair(f: TotalFn, g: Mapping) -> Lens:
-    """The image of a pair (forward function, backward map) under the evident functor."""
-    if isinstance(g, TotalFn):
-        g = MapTable(g)
-    dom = Diset(f.dom, g.dst)
-    cod = Diset(f.cod, g.src)
-    return Lens(dom, cod, f, USecond(g))
 
 
 def counit_lens(x: FiniteSet) -> Lens:
@@ -587,11 +439,6 @@ class Context:
 
     history: object
     continuation: TotalFn
-
-
-def context_map(kappa: Lens, mu: Lens, c: Context) -> Context:
-    """Transport a context covariantly in the history, contravariantly in the continuation."""
-    return Context(kappa.view(c.history), apply_continuation(mu, c.continuation))
 
 
 def left_context(right_play: Lens, c: Context, left_dst: Diset) -> Context:

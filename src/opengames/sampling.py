@@ -16,14 +16,13 @@ from .errors import EmptyChoiceSet
 from .finite import (
     FiniteSet,
     TotalFn,
-    enumerate_continuations,
     flat_product,
     format_fn,
     format_value,
     make_set,
 )
 from .games import OpenGame
-from .lenses import Diset, Lens, UTable
+from .lenses import Diset, Lens, UTable, default_continuations
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -78,7 +77,7 @@ def random_continuation(rng, d: Diset) -> TotalFn:
 
 def sample_continuations(rng, d: Diset, count: int, bound: int = 4096):
     """Up to `count` distinct continuations on a diset, without replacement."""
-    pool = list(enumerate_continuations(d.forward, d.backward, bound))
+    pool = default_continuations(d, bound)
     if len(pool) <= count:
         return pool
     return rng.sample(pool, count)

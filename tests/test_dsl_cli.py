@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from opengames.classical import brute_nash
 from opengames.cli import bundled_document_text, main
 from opengames.dsl import (
+    MAX_DEPTH,
     format_document,
     format_sexpr,
     parse_document,
@@ -72,6 +74,10 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_sexprs("(a (b c)")
     assert (e.value.line, e.value.col) == (1, 1)
+    assert len(parse_sexprs("(" * MAX_DEPTH + ")" * MAX_DEPTH)) == 1
+    with pytest.raises(ParseError) as e:
+        parse_sexprs("\n " + "(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1))
+    assert (e.value.line, e.value.col) == (2, MAX_DEPTH + 2)
 
 
 sexpr_data = st.recursive(
@@ -325,10 +331,17 @@ def test_solve_domain_errors_exit_one(tmp_path, capsys):
 
 
 def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
-    path = write_doc(tmp_path, "(bad)\n")
-    code, _, err = run_cli(capsys, ["parse", "--input", path])
-    assert code == 2
-    assert err.startswith(f"{path}:1:2: unknown declaration")
+    cases = [
+        ("(bad)\n", "1:2: unknown declaration"),
+        ("(diset D unit (real -1))\n", "1:21: a payoff dimension cannot be negative"),
+        ("(" * 5000 + ")" * 5000 + "\n", f"1:{MAX_DEPTH + 1}: nesting deeper than"),
+        ("(set A (a b c d e f g h i j k))\n(payoff P (A A A A A A) 1)\n", "2:1: 1771561 tuples"),
+    ]
+    for text, expected in cases:
+        path = write_doc(tmp_path, text)
+        code, _, err = run_cli(capsys, ["parse", "--input", path])
+        assert code == 2
+        assert err.startswith(f"{path}:{expected}")
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -371,6 +384,20 @@ def test_demo_subcommand(capsys):
     assert separable["mode"] == "separable"
     assert len(separable["profiles"]) == 1
     assert len(report["witnesses"]) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_reports_match_golden_files(capsys, monkeypatch):
+    """Reports are pinned byte for byte across commits, not only across runs."""
+    code, out, _ = run_cli(capsys, ["demo"])
+    assert code == 0
+    assert out == (GOLDEN / "demo.json").read_text(encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(bundled_document_text()))
+    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "separable"])
+    assert code == 0
+    assert out == (GOLDEN / "market_separable.json").read_text(encoding="utf-8")
 
 
 def test_parse_subcommand_json_and_text(tmp_path, capsys):

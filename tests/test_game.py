@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from opengames.classical import brute_nash, normal_form
-from opengames.errors import EmptyChoiceSet, TypeMismatch
+from opengames.errors import EmptyChoiceSet, EnumerationBound, TypeMismatch
 from opengames.finite import (
+    FiniteSet,
     Payoff,
     Tag,
     UNIT,
@@ -34,6 +35,7 @@ from opengames.games import (
 from opengames.lenses import (
     Context,
     Diset,
+    UNIT_DISET,
     diset_tensor,
     lens_identity,
     runit_inv_lens,
@@ -200,6 +202,19 @@ def test_product_requires_shared_backward_carriers():
         product_games([a, b])
     with pytest.raises(TypeMismatch):
         product_games([])
+
+
+def test_composite_strategy_sets_respect_the_bound():
+    class Unlisted(FiniteSet):
+        """A set of known size whose elements are listed only to build a product."""
+
+        def __iter__(self):
+            raise AssertionError("the strategy product was built before the bound check")
+
+    wide = OpenGame(UNIT_DISET, UNIT_DISET, Unlisted(tuple(range(1001))), None, None)
+    for compose in (seq_compose, tensor_games, lambda g, h: product_games([g, h])):
+        with pytest.raises(EnumerationBound):
+            compose(wide, wide)
 
 
 def test_product_games_split_by_tag():
