@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import MalformedInfoSet, TypeMismatch
 from .finite import (
-    FiniteSet,
     Payoff,
     TotalFn,
     enumerate_functions,

@@ -54,6 +54,17 @@ class UsageError(Exception):
     pass
 
 
+def _count(text: str) -> int:
+    """An argparse type for a non-negative integer."""
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="og", description="Solve and inspect composed game documents."
@@ -79,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("laws", help="check algebraic laws on random instances")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     common(p)
 
     p = sub.add_parser("demo", help="solve the bundled market entry document")
@@ -92,10 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
 
 def _report(command, input_name, seed, max_table, results, witnesses, elapsed):

@@ -143,25 +143,26 @@ def _separable(expr, k, memo):
 
     elif isinstance(expr, Tensor):
         gl, gr = eval_expr(expr.left), eval_expr(expr.right)
+        subs = {}  # (side, partner move) -> separable table of that factor
         out = {}
         for sl, sr in eval_expr(expr).strategies:
-            cert = _tensor_cert(expr, k, memo, gl, gr, sl, sr)
+            cert = _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr)
             if cert is not None:
                 out[(sl, sr)] = cert
 
     elif isinstance(expr, Product):
-        games = [eval_expr(c) for c in expr.children]
+        # A child's table is built when the first profile reaches it, so a
+        # child no profile reaches is never evaluated.
+        subs = {}  # j -> separable table of child j
         out = {}
         for profile in eval_expr(expr).strategies:
             certs = []
             for j, child in enumerate(expr.children):
-                g = games[j]
-                kj = total_fn(
-                    g.dst.forward,
-                    g.dst.backward,
-                    lambda y, j=j: k(Tag(j, y)),
-                )
-                sub = _separable(child, kj, memo)
+                sub = subs.get(j)
+                if sub is None:
+                    dst = eval_expr(child).dst
+                    kj = total_fn(dst.forward, dst.backward, lambda y: k(Tag(j, y)))
+                    sub = subs[j] = _separable(child, kj, memo)
                 if profile[j] not in sub:
                     certs = None
                     break
@@ -176,28 +177,27 @@ def _separable(expr, k, memo):
     return out
 
 
-def _tensor_cert(expr, k, memo, gl, gr, sl, sr):
+def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
+    """Certify (sl, sr) against k; `subs` holds the factor tables built so far."""
     right_view = gr.play(sr).view
     left_certs = []
     for h2 in gr.src.forward:
-        kl = total_fn(
-            gl.dst.forward,
-            gl.dst.backward,
-            lambda y, h2=h2: k((y, right_view(h2)))[0],
-        )
-        sub = _separable(expr.left, kl, memo)
+        y2 = right_view(h2)
+        sub = subs.get((0, y2))
+        if sub is None:
+            kl = total_fn(gl.dst.forward, gl.dst.backward, lambda y: k((y, y2))[0])
+            sub = subs[(0, y2)] = _separable(expr.left, kl, memo)
         if sl not in sub:
             return None
         left_certs.append((h2, sub[sl]))
     left_view = gl.play(sl).view
     right_certs = []
     for h1 in gl.src.forward:
-        kr = total_fn(
-            gr.dst.forward,
-            gr.dst.backward,
-            lambda y, h1=h1: k((left_view(h1), y))[1],
-        )
-        sub = _separable(expr.right, kr, memo)
+        y1 = left_view(h1)
+        sub = subs.get((1, y1))
+        if sub is None:
+            kr = total_fn(gr.dst.forward, gr.dst.backward, lambda y: k((y1, y))[1])
+            sub = subs[(1, y1)] = _separable(expr.right, kr, memo)
         if sr not in sub:
             return None
         right_certs.append((h1, sub[sr]))

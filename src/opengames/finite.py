@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DuplicateElement, EnumerationBound, TypeMismatch
 
@@ -66,6 +67,14 @@ class FiniteSet:
                 raise DuplicateElement(f"duplicate element {format_value(v)}")
             idx[v] = i
         object.__setattr__(self, "_index", idx)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # Computed on first use only: most sets are never used as keys.
+        return hash((self.elements,))
 
     def __len__(self):
         return len(self.elements)
@@ -340,6 +349,16 @@ class TotalFn:
         for v in self.values:
             if not carrier_contains(self.cod, v):
                 raise TypeMismatch(f"value {format_value(v)} outside codomain {self.cod!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # Tables are memo keys on the best-response path, and hashing one
+        # hashes every exact payoff in it, so it is done once per table and
+        # only for tables that are ever looked up.
+        return hash((self.dom, self.cod, self.values))
 
     def __call__(self, x):
         return self.values[self.dom.index(x)]

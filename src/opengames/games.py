@@ -201,14 +201,26 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
     def play(ss):
         return lens_tensor(g1.play(ss[0]), g2.play(ss[1]))
 
+    # A factor's continuation depends on the joint continuation and on the
+    # partner's move only, so many partner strategies share one table.
+    factor_ks = {}  # (side, k, partner move) -> that factor's continuation
+
+    def factor_k(side, hist, k, partner):
+        key = (side, k, partner.view(hist[1 - side]))
+        kf = factor_ks.get(key)
+        if kf is None:
+            if side == 0:
+                kf = left_context(partner, Context(hist, k), g1.dst).continuation
+            else:
+                kf = right_context(partner, Context(hist, k), g2.dst).continuation
+            factor_ks[key] = kf
+        return kf
+
     def best(hist, k, ss, dd):
         (s1, s2), (d1, d2) = ss, dd
-        c = Context(hist, k)
-        cl = left_context(g2.play(s2), c, g1.dst)
-        if not g1.best(cl.history, cl.continuation, s1, d1):
+        if not g1.best(hist[0], factor_k(0, hist, k, g2.play(s2)), s1, d1):
             return False
-        cr = right_context(g1.play(s1), c, g2.dst)
-        return g2.best(cr.history, cr.continuation, s2, d2)
+        return g2.best(hist[1], factor_k(1, hist, k, g1.play(s1)), s2, d2)
 
     return OpenGame(src, dst, strategies, play, best, label="tensor")
 
@@ -227,10 +239,15 @@ def product_games(games) -> OpenGame:
             [lens_compose(g.play(sigma[j]), injections[j]) for j, g in enumerate(games)]
         )
 
+    factor_ks = {}  # (j, k) -> continuation of factor j
+
     def best(hist, k, sigma, dev):
         j = hist.side
         g = games[j]
-        kj = total_fn(g.dst.forward, dst.backward, lambda y: k(Tag(j, y)))
+        kj = factor_ks.get((j, k))
+        if kj is None:
+            kj = total_fn(g.dst.forward, dst.backward, lambda y: k(Tag(j, y)))
+            factor_ks[(j, k)] = kj
         return g.best(hist.value, kj, sigma[j], dev[j])
 
     return OpenGame(src, dst, strategies, play, best, label="product")

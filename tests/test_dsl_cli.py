@@ -351,6 +351,29 @@ def test_stdin_input(capsys, monkeypatch):
     assert json.loads(out)["input"] == "-"
 
 
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.og")
+    not_utf8 = tmp_path / "bad.og"
+    not_utf8.write_bytes(b"\xff\xfe(set A (a b))\n")
+    for command in (["parse"], ["solve", "--mode", "nash"]):
+        code, out, err = run_cli(capsys, command + ["--input", missing])
+        assert code == 2 and out == ""
+        assert err == f"usage error: cannot read {missing}: No such file or directory\n"
+        code, out, err = run_cli(capsys, command + ["--input", str(not_utf8)])
+        assert code == 2 and out == ""
+        assert err == f"usage error: {not_utf8} is not UTF-8 text (byte 0)\n"
+
+
+def test_laws_rejects_negative_trials(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["laws", "--trials", "-2"])
+    assert exc_info.value.code == 2
+    assert "--trials: expected a non-negative integer" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["laws", "--trials", "0"])
+    assert code == 0
+    assert all(r["trials"] == 0 for r in json.loads(out)["results"])
+
+
 def test_timing_and_text_format(tmp_path, capsys):
     path = write_doc(tmp_path, PD_DOC)
     code, out, _ = run_cli(

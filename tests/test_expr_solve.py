@@ -246,6 +246,62 @@ def test_product_certificates_split_by_tag():
     assert {p for p, _ in pairs} <= set(states_over(expr, k))
 
 
+def test_factor_continuations_are_built_once(rng, monkeypatch):
+    """No (continuation, partner move) pair reaches a factor's builder twice."""
+    import opengames.expr as og_expr
+    import opengames.games as og_games
+    from opengames.classical import brute_nash
+    from opengames.sampling import random_fraction
+
+    built = []
+
+    def recording(side, build):
+        def wrapped(partner, c, dst):
+            built.append((side, c.continuation, partner.view(c.history[1 - side])))
+            return build(partner, c, dst)
+
+        return wrapped
+
+    monkeypatch.setattr(og_games, "left_context", recording(0, og_games.left_context))
+    monkeypatch.setattr(og_games, "right_context", recording(1, og_games.right_context))
+
+    moves = make_set(["a", "b", "c", "d"])
+    nf = normal_form([moves] * 3, lambda p: tuple(random_fraction(rng) for _ in range(3)))
+    assert nash_normal_form(nf) == brute_nash(nf)
+    assert built and len(set(built)) == len(built)
+
+    # Below, every payoff coordinate is injective, so no two partner moves give
+    # equal factor tables; without a Seq node each (subexpression,
+    # continuation) pair must then reach the separable recursion once.
+    separable_calls = []
+    separable = og_expr._separable
+
+    def recording_separable(expr, k, memo):
+        separable_calls.append((expr, k))
+        return separable(expr, k, memo)
+
+    monkeypatch.setattr(og_expr, "_separable", recording_separable)
+    built.clear()
+    expr = Product((
+        Tensor(Atom(decision(MOVES, MOVES)), Atom(decision(make_set([0, 1, 2]), MOVES))),
+        Tensor(Atom(decision(UNIT_SET, MOVES)), Atom(decision(UNIT_SET, MOVES))),
+    ))
+    g = eval_expr(expr)
+    ranks = [list(range(len(g.dst.forward))) for _ in range(2)]
+    for r in ranks:
+        rng.shuffle(r)
+    k = total_fn(
+        g.dst.forward,
+        g.dst.backward,
+        lambda y: tuple((Q(r[g.dst.forward.index(y)]),) for r in ranks),
+    )
+    states = states_over(expr, k)
+    assert built and len(set(built)) == len(built)
+    separable_profiles = [p for p, _ in separable_states_over(expr, k)]
+    assert set(separable_profiles) <= set(states)
+    assert len(set(separable_calls)) == len(separable_calls) > 3
+
+
 def test_separable_checks_the_continuation_boundary():
     expr = Atom(decision(UNIT_SET, MOVES))
     bad = total_fn(UNIT_SET, Payoff(1), lambda _: (Q(0),))

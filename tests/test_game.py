@@ -1,5 +1,6 @@
 """Open games: atomic builders, composition operators, state computation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,39 @@ def test_tensor_coordination_matches_brute_force():
     k = total_fn(g.dst.forward, g.dst.backward, table)
     got = [(a(UNIT), b(UNIT)) for a, b in game_states(g, k)]
     assert got == [("C", "C"), ("D", "D")]
+
+
+def test_tensor_best_with_histories_matches_the_definition():
+    """Many partner strategies make the same move at a history; each must still count."""
+    left = decision(MOVES, MOVES)
+    right = decision(make_set([0, 1, 2]), MOVES)
+    g = tensor_games(left, right)
+    rng = random.Random(20240611)
+
+    def argmax(payoff, move):
+        return all(payoff(move) >= payoff(alt) for alt in MOVES)
+
+    for _ in range(6):
+        k = total_fn(
+            g.dst.forward,
+            g.dst.backward,
+            lambda y: (Q(rng.randint(0, 2)), Q(rng.randint(0, 2))),
+        )
+
+        def best(h, s, d):
+            (h1, h2), (s1, s2), (d1, d2) = h, s, d
+            return argmax(lambda y1: k((y1, s2(h2)))[0], d1(h1)) and argmax(
+                lambda y2: k((s1(h1), y2))[1], d2(h2)
+            )
+
+        for h in g.src.forward:
+            for s in g.strategies:
+                for d in g.strategies:
+                    assert g.best(h, k, s, d) == best(h, s, d)
+        expected = [
+            s for s in g.strategies if all(best(h, s, s) for h in g.src.forward)
+        ]
+        assert game_states(g, k) == expected
 
 
 def test_product_requires_shared_backward_carriers():
