@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-table", type=int, default=16,
+        p.add_argument("--max-table", type=_count, default=16,
                        help="largest table rendered in witnesses")
         p.add_argument("--timing", action="store_true",
                        help="include elapsed milliseconds in the report")

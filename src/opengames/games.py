@@ -5,6 +5,10 @@ lens Phi -> Psi for each strategy, and a boolean best-response evaluator
 over contexts (history, continuation).  Composites evaluate best
 responses lazily by recursion on structure, with memoization; their
 strategy sets are products whose elements mirror the expression shape.
+
+States of seq, tensor and product games are assembled from their parts'
+states and a decision keeps the strategies that play into its argmax;
+only reindexed games filter every strategy through `best`.
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ from .lenses import (
 
 
 class OpenGame:
-    def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, best, label=""):
+    def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, best, label="",
+                 states=None):
         self.src = src
         self.dst = dst
         self.strategies = strategies
         self._play = play
         self._best = best
+        self._states = states
         self.label = label
         self._play_cache = {}
         self._best_cache = {}
@@ -76,6 +82,16 @@ class OpenGame:
             self._best_cache[key] = hit
         return hit
 
+    def states(self, histories, k) -> list:
+        """Strategies that best-respond to themselves at all `histories`, in order.
+
+        A constructor's own `states` must agree with this definition.
+        """
+        histories = tuple(histories)
+        if self._states is None or not histories:
+            return [s for s in self.strategies if all(self.best(h, k, s, s) for h in histories)]
+        return self._states(histories, k)
+
     def __repr__(self):
         name = self.label or "OpenGame"
         return f"{name}({self.src!r} -|> {self.dst!r}, |S|={len(self.strategies)})"
@@ -91,24 +107,32 @@ def best_response(game: OpenGame, c: Context, sigma, deviation) -> bool:
 
 
 def game_states(game: OpenGame, k: TotalFn):
-    """Strategies that best-respond to themselves at every history, in canonical order."""
-    return [
-        s
-        for s in game.strategies
-        if all(game.best(h, k, s, s) for h in game.src.forward)
-    ]
+    """Strategies that best-respond to themselves at every history, in canonical order.
+
+    Assembled per combinator; equal to filtering every strategy through `best`.
+    """
+    return game.states(game.src.forward, k)
+
+
+def _argmax(choices, score) -> set:
+    """The choices scoring weakly above every other."""
+    scores = {y: score(y) for y in choices}
+    top = max(scores.values())
+    return {y for y, v in scores.items() if v >= top}
 
 
 def unit_game(d: Diset) -> OpenGame:
     return OpenGame(
-        d, d, UNIT_SET, lambda _: lens_identity(d), lambda *args: True, label="unit"
+        d, d, UNIT_SET, lambda _: lens_identity(d), lambda *args: True, label="unit",
+        states=lambda hs, k: [UNIT],
     )
 
 
 def trivial_game(lens: Lens, label="trivial") -> OpenGame:
     """A strategically trivial game: one strategy, always best."""
     return OpenGame(
-        lens.dom, lens.cod, UNIT_SET, lambda _: lens, lambda *args: True, label=label
+        lens.dom, lens.cod, UNIT_SET, lambda _: lens, lambda *args: True, label=label,
+        states=lambda hs, k: [UNIT],
     )
 
 
@@ -133,7 +157,11 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
         chosen = k(s2(h))
         return all(chosen >= k(alt) for alt in y)
 
-    return OpenGame(src, dst, strategies, play, best, label="decision")
+    def states(hs, k):
+        top = _argmax(y, k)
+        return [s for s in strategies if all(s(h) in top for h in hs)]
+
+    return OpenGame(src, dst, strategies, play, best, label="decision", states=states)
 
 
 def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
@@ -163,14 +191,18 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
             view = total_fn(hist, out, lambda x: (x, s(x)))
         return Lens(src, dst, view, drop)
 
+    def extend(h, choice):
+        return choice if n == 1 else (h, choice)
+
     def best(h, k, s, s2):
-        def extend(choice):
-            return choice if n == 1 else (h, choice)
+        own = k(extend(h, s2(h)))[n - 1]
+        return all(own >= k(extend(h, alt))[n - 1] for alt in last)
 
-        own = k(extend(s2(h)))[n - 1]
-        return all(own >= k(extend(alt))[n - 1] for alt in last)
+    def states(hs, k):
+        tops = {h: _argmax(last, lambda alt: k(extend(h, alt))[n - 1]) for h in hs}
+        return [s for s in strategies if all(s(h) in tops[h] for h in hs)]
 
-    return OpenGame(src, dst, strategies, play, best, label="copy-decision")
+    return OpenGame(src, dst, strategies, play, best, label="copy-decision", states=states)
 
 
 def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
@@ -190,7 +222,24 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
             return False
         return h.best(g.play(s).view(hist), k, t, t2)
 
-    return OpenGame(g.src, h.dst, strategies, play, best, label="seq")
+    def states(hists, k):
+        seconds = {}  # histories reached by a first-stage strategy -> h's states there
+        firsts = {}  # second-stage state -> g's states against the cut it leaves
+        out = []
+        for s in g.strategies:
+            reached = frozenset(map(g.play(s).view, hists))
+            ts = seconds.get(reached)
+            if ts is None:
+                ts = seconds[reached] = h.states(reached, k)
+            for t in ts:
+                ss = firsts.get(t)
+                if ss is None:
+                    ss = firsts[t] = set(g.states(hists, apply_continuation(h.play(t), k)))
+                if s in ss:
+                    out.append((s, t))
+        return out
+
+    return OpenGame(g.src, h.dst, strategies, play, best, label="seq", states=states)
 
 
 def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -222,7 +271,38 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
             return False
         return g2.best(hist[1], factor_k(1, hist, k, g1.play(s1)), s2, d2)
 
-    return OpenGame(src, dst, strategies, play, best, label="tensor")
+    def states(hists, k):
+        found = {}  # (side, own history, partner move) -> that factor's states
+
+        def needs(side, partner):  # the sets one factor must lie in
+            sets = []
+            for hist in hists:
+                key = (side, hist[side], partner.view(hist[1 - side]))
+                got = found.get(key)
+                if got is None:
+                    kf = factor_k(side, hist, k, partner)
+                    got = found[key] = set((g1, g2)[side].states((hist[side],), kf))
+                sets.append(got)
+            return sets
+
+        # Left first: s1's right-hand needs are built only once some s2 passes.
+        lefts = {}  # s2 -> the sets s1 must lie in
+        out = []
+        for s1 in g1.strategies:
+            rights = None
+            for s2 in g2.strategies:
+                left = lefts.get(s2)
+                if left is None:
+                    left = lefts[s2] = needs(0, g2.play(s2))
+                if not all(s1 in st for st in left):
+                    continue
+                if rights is None:
+                    rights = needs(1, g1.play(s1))
+                if all(s2 in st for st in rights):
+                    out.append((s1, s2))
+        return out
+
+    return OpenGame(src, dst, strategies, play, best, label="tensor", states=states)
 
 
 def product_games(games) -> OpenGame:
@@ -241,16 +321,28 @@ def product_games(games) -> OpenGame:
 
     factor_ks = {}  # (j, k) -> continuation of factor j
 
-    def best(hist, k, sigma, dev):
-        j = hist.side
-        g = games[j]
+    def factor_k(j, k):
         kj = factor_ks.get((j, k))
         if kj is None:
-            kj = total_fn(g.dst.forward, dst.backward, lambda y: k(Tag(j, y)))
-            factor_ks[(j, k)] = kj
-        return g.best(hist.value, kj, sigma[j], dev[j])
+            kj = factor_ks[(j, k)] = total_fn(
+                games[j].dst.forward, dst.backward, lambda y: k(Tag(j, y))
+            )
+        return kj
 
-    return OpenGame(src, dst, strategies, play, best, label="product")
+    def best(hist, k, sigma, dev):
+        j = hist.side
+        return games[j].best(hist.value, factor_k(j, k), sigma[j], dev[j])
+
+    def states(hists, k):
+        # Only the tagged branch counts, so the product of each child's
+        # states at its own histories is the answer, in lexicographic order.
+        per_child = []
+        for j, g in enumerate(games):
+            mine = [hist.value for hist in hists if hist.side == j]
+            per_child.append(g.states(mine, factor_k(j, k)) if mine else g.strategies)
+        return list(flat_product(per_child))
+
+    return OpenGame(src, dst, strategies, play, best, label="product", states=states)
 
 
 def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:

@@ -374,6 +374,17 @@ def test_laws_rejects_negative_trials(capsys):
     assert all(r["trials"] == 0 for r in json.loads(out)["results"])
 
 
+def test_negative_max_table_is_a_usage_error(capsys):
+    for command in (["demo"], ["laws", "--trials", "1"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(command + ["--max-table", "-3"])
+        assert exc_info.value.code == 2
+        assert "--max-table: expected a non-negative integer" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["demo", "--max-table", "0"])
+    assert code == 0
+    assert json.loads(out)["bounds"] == {"max_table": 0}
+
+
 def test_timing_and_text_format(tmp_path, capsys):
     path = write_doc(tmp_path, PD_DOC)
     code, out, _ = run_cli(

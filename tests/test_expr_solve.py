@@ -1,6 +1,7 @@
 """Composition trees and the solvers built on them."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -300,6 +301,30 @@ def test_factor_continuations_are_built_once(rng, monkeypatch):
     separable_profiles = [p for p, _ in separable_states_over(expr, k)]
     assert set(separable_profiles) <= set(states)
     assert len(set(separable_calls)) == len(separable_calls) > 3
+
+
+def test_nash_never_tests_a_composite_best_response(rng, monkeypatch):
+    """Composite states come from their parts' states, not from `best`."""
+    import opengames.games as og_games
+    from opengames.classical import brute_nash
+    from opengames.sampling import random_fraction
+
+    calls = {}
+    best = og_games.OpenGame.best
+
+    def counting(self, *args):
+        calls[self.label] = calls.get(self.label, 0) + 1
+        return best(self, *args)
+
+    monkeypatch.setattr(og_games.OpenGame, "best", counting)
+    sets = [make_set(["a0", "a1", "a2"]), make_set(["b0", "b1"]), make_set(["c0", "c1"])]
+    table = {p: tuple(random_fraction(rng) for _ in range(3)) for p in product(*sets)}
+    sq = sequential_game(sets, lambda p: table[p])
+    assert set(nash_sequential(sq)) == set(sequential_nash(sq))
+    moves = make_set(["m0", "m1", "m2"])
+    nf = normal_form([moves] * 4, lambda p: tuple(random_fraction(rng) for _ in range(4)))
+    assert nash_normal_form(nf) == brute_nash(nf)
+    assert not {"seq", "tensor", "product"} & set(calls), calls
 
 
 def test_separable_checks_the_continuation_boundary():

@@ -41,6 +41,7 @@ from opengames.lenses import (
     lens_identity,
     runit_inv_lens,
 )
+from opengames.sampling import random_finite_set, random_game, random_lens
 
 MOVES = make_set(["C", "D"])
 Q = lambda n: (Fraction(n),)
@@ -227,6 +228,96 @@ def test_tensor_best_with_histories_matches_the_definition():
             s for s in g.strategies if all(best(h, s, s) for h in g.src.forward)
         ]
         assert game_states(g, k) == expected
+
+
+def _definition_states(g, k):
+    """States by the definition: every strategy filtered through `best`."""
+    return [s for s in g.strategies if all(g.best(h, k, s, s) for h in g.src.forward)]
+
+
+def _random_value(rng, carrier):
+    """A value of a finite, payoff or pair carrier; payoffs tie often."""
+    if isinstance(carrier, FiniteSet):
+        return rng.choice(carrier.elements)
+    if isinstance(carrier, Payoff):
+        return tuple(Fraction(rng.randint(0, 2)) for _ in range(carrier.dim))
+    return (_random_value(rng, carrier.fst), _random_value(rng, carrier.snd))
+
+
+def _random_atom(rng, src=None, dst=None):
+    return random_game(rng, src, dst, kind=rng.choice(["argmax", "hash"]))
+
+
+def _random_composite(rng, depth, src=None):
+    """A game over finite boundaries: random atoms under seq, tensor and product.
+
+    With `src` given, a tensor or product is reached through a random atom,
+    so it is asked only at the histories that atom's strategies reach.
+    """
+    if depth == 0:
+        return _random_atom(rng, src)
+    op = rng.choice(["seq", "tensor", "product"])
+    if op == "seq":
+        g = _random_composite(rng, depth - 1, src)
+        return seq_compose(g, _random_composite(rng, depth - 1, g.dst))
+    if op == "tensor":
+        out = tensor_games(_random_composite(rng, depth - 1), _random_composite(rng, depth - 1))
+    else:
+        back_src, back_dst = random_finite_set(rng, prefix="s"), random_finite_set(rng, prefix="r")
+        children = []
+        for j in range(rng.randint(1, 3)):
+            x = Diset(random_finite_set(rng, prefix=f"x{j}"), back_src)
+            y = Diset(random_finite_set(rng, prefix=f"y{j}"), back_dst)
+            if depth > 1 and rng.random() < 0.5:
+                first = _random_atom(rng, x)
+                children.append(seq_compose(first, _random_atom(rng, first.dst, y)))
+            else:
+                children.append(_random_atom(rng, x, y))
+        out = product_games(children)
+    if src is None:
+        return out
+    return seq_compose(_random_atom(rng, src, out.src), out)
+
+
+def _decision_composites(rng):
+    """Decisions and copy decisions at several histories, alone and composed."""
+    xs, ys, zs = make_set(["x0", "x1", "x2"]), MOVES, make_set([0, 1, 2])
+    chain = seq_compose(
+        copy_decision([ys]), seq_compose(copy_decision([ys, ys]), copy_decision([ys, ys, ys]))
+    )
+    pair = tensor_games(decision(xs, ys), decision(ys, ys))
+    subset = total_fn(
+        make_set(range(4)), pair.strategies, lambda _: rng.choice(pair.strategies.elements)
+    )
+    moved = reindex_source(decision(xs, zs), random_lens(rng, Diset(zs, UNIT_SET),
+                                                         Diset(xs, UNIT_SET)))
+    return [
+        decision(xs, zs),
+        copy_decision([ys, zs, ys]),
+        chain,
+        pair,
+        tensor_games(pair, _random_atom(rng)),
+        # A seq in front: the tensor is asked at the non-product subsets reached.
+        seq_compose(_random_atom(rng, dst=pair.src), pair),
+        product_games([decision(xs, ys), decision(zs, ys), decision(UNIT_SET, zs)]),
+        reindex_strategies(pair, subset),
+        moved,
+        tensor_games(moved, decision(UNIT_SET, ys)),
+    ]
+
+
+def test_states_match_the_definition_on_random_composites():
+    for seed in range(200):
+        rng = random.Random(f"states/{seed}")
+        games = [_random_composite(rng, rng.randint(1, 2))]
+        if seed % 10 == 0:
+            games += _decision_composites(rng)
+        for g in games:
+            for _ in range(3):
+                k = total_fn(
+                    g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
+                )
+                assert game_states(g, k) == _definition_states(g, k), (seed, g)
 
 
 def test_product_requires_shared_backward_carriers():
