@@ -8,10 +8,18 @@ strategy sets are products whose elements mirror the expression shape.
 
 States of seq, tensor and product games are assembled from their parts'
 states and a decision keeps the strategies that play into its argmax;
-only reindexed games filter every strategy through `best`.
+only reindexed games filter every strategy through `best`.  In the same
+way each constructor builds the set of best responses to a strategy
+(`OpenGame.responses`) from its parts' sets: a decision keeps the
+deviations into its argmax, seq and tensor take the product of their
+parts' sets against the cut or factor continuations, and a product
+varies only the tagged child.  Only games built by hand, such as
+`sampling.random_game`, filter every deviation through `best`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import EmptyChoiceSet, TypeMismatch
 from .finite import (
@@ -54,16 +62,18 @@ from .lenses import (
 
 class OpenGame:
     def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, best, label="",
-                 states=None):
+                 states=None, responses=None):
         self.src = src
         self.dst = dst
         self.strategies = strategies
         self._play = play
         self._best = best
         self._states = states
+        self._responses = responses
         self.label = label
         self._play_cache = {}
         self._best_cache = {}
+        self._responses_cache = {}
 
     def play(self, sigma) -> Lens:
         lens = self._play_cache.get(sigma)
@@ -80,6 +90,23 @@ class OpenGame:
         if hit is None:
             hit = self._best(history, continuation, sigma, deviation)
             self._best_cache[key] = hit
+        return hit
+
+    def responses(self, history, continuation, sigma) -> tuple:
+        """The deviations `d` with `best(history, continuation, sigma, d)`, in order.
+
+        A constructor's own `responses` must agree with this definition.
+        """
+        key = (history, continuation, sigma)
+        hit = self._responses_cache.get(key)
+        if hit is None:
+            if self._responses is None:
+                hit = tuple(
+                    d for d in self.strategies if self.best(history, continuation, sigma, d)
+                )
+            else:
+                hit = self._responses(history, continuation, sigma)
+            self._responses_cache[key] = hit
         return hit
 
     def states(self, histories, k) -> list:
@@ -124,7 +151,7 @@ def _argmax(choices, score) -> set:
 def unit_game(d: Diset) -> OpenGame:
     return OpenGame(
         d, d, UNIT_SET, lambda _: lens_identity(d), lambda *args: True, label="unit",
-        states=lambda hs, k: [UNIT],
+        states=lambda hs, k: [UNIT], responses=lambda *args: (UNIT,),
     )
 
 
@@ -132,7 +159,7 @@ def trivial_game(lens: Lens, label="trivial") -> OpenGame:
     """A strategically trivial game: one strategy, always best."""
     return OpenGame(
         lens.dom, lens.cod, UNIT_SET, lambda _: lens, lambda *args: True, label=label,
-        states=lambda hs, k: [UNIT],
+        states=lambda hs, k: [UNIT], responses=lambda *args: (UNIT,),
     )
 
 
@@ -161,7 +188,12 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
         top = _argmax(y, k)
         return [s for s in strategies if all(s(h) in top for h in hs)]
 
-    return OpenGame(src, dst, strategies, play, best, label="decision", states=states)
+    def responses(h, k, s):
+        top = _argmax(y, k)
+        return tuple(d for d in strategies if d(h) in top)
+
+    return OpenGame(src, dst, strategies, play, best, label="decision", states=states,
+                    responses=responses)
 
 
 def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
@@ -198,11 +230,19 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
         own = k(extend(h, s2(h)))[n - 1]
         return all(own >= k(extend(h, alt))[n - 1] for alt in last)
 
+    def top(h, k):
+        return _argmax(last, lambda alt: k(extend(h, alt))[n - 1])
+
     def states(hs, k):
-        tops = {h: _argmax(last, lambda alt: k(extend(h, alt))[n - 1]) for h in hs}
+        tops = {h: top(h, k) for h in hs}
         return [s for s in strategies if all(s(h) in tops[h] for h in hs)]
 
-    return OpenGame(src, dst, strategies, play, best, label="copy-decision", states=states)
+    def responses(h, k, s):
+        here = top(h, k)
+        return tuple(d for d in strategies if d(h) in here)
+
+    return OpenGame(src, dst, strategies, play, best, label="copy-decision", states=states,
+                    responses=responses)
 
 
 def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
@@ -222,6 +262,13 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
             return False
         return h.best(g.play(s).view(hist), k, t, t2)
 
+    def responses(hist, k, st):
+        s, t = st
+        firsts = g.responses(hist, apply_continuation(h.play(t), k), s)
+        if not firsts:
+            return ()
+        return tuple(itertools.product(firsts, h.responses(g.play(s).view(hist), k, t)))
+
     def states(hists, k):
         seconds = {}  # histories reached by a first-stage strategy -> h's states there
         firsts = {}  # second-stage state -> g's states against the cut it leaves
@@ -239,7 +286,8 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
                     out.append((s, t))
         return out
 
-    return OpenGame(g.src, h.dst, strategies, play, best, label="seq", states=states)
+    return OpenGame(g.src, h.dst, strategies, play, best, label="seq", states=states,
+                    responses=responses)
 
 
 def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -270,6 +318,15 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
         if not g1.best(hist[0], factor_k(0, hist, k, g2.play(s2)), s1, d1):
             return False
         return g2.best(hist[1], factor_k(1, hist, k, g1.play(s1)), s2, d2)
+
+    def responses(hist, k, ss):
+        s1, s2 = ss
+        lefts = g1.responses(hist[0], factor_k(0, hist, k, g2.play(s2)), s1)
+        if not lefts:
+            return ()
+        return tuple(
+            itertools.product(lefts, g2.responses(hist[1], factor_k(1, hist, k, g1.play(s1)), s2))
+        )
 
     def states(hists, k):
         found = {}  # (side, own history, partner move) -> that factor's states
@@ -302,7 +359,8 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
                     out.append((s1, s2))
         return out
 
-    return OpenGame(src, dst, strategies, play, best, label="tensor", states=states)
+    return OpenGame(src, dst, strategies, play, best, label="tensor", states=states,
+                    responses=responses)
 
 
 def product_games(games) -> OpenGame:
@@ -333,6 +391,13 @@ def product_games(games) -> OpenGame:
         j = hist.side
         return games[j].best(hist.value, factor_k(j, k), sigma[j], dev[j])
 
+    def responses(hist, k, sigma):
+        # Only the tagged child is played, so every other child may deviate freely.
+        j = hist.side
+        per_child = [g.strategies for g in games]
+        per_child[j] = games[j].responses(hist.value, factor_k(j, k), sigma[j])
+        return tuple(itertools.product(*per_child))
+
     def states(hists, k):
         # Only the tagged branch counts, so the product of each child's
         # states at its own histories is the answer, in lexicographic order.
@@ -342,7 +407,8 @@ def product_games(games) -> OpenGame:
             per_child.append(g.states(mine, factor_k(j, k)) if mine else g.strategies)
         return list(flat_product(per_child))
 
-    return OpenGame(src, dst, strategies, play, best, label="product", states=states)
+    return OpenGame(src, dst, strategies, play, best, label="product", states=states,
+                    responses=responses)
 
 
 def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
@@ -356,6 +422,7 @@ def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
         lambda s: lens_compose(lens, g.play(s)),
         lambda h, k, s, s2: g.best(lens.view(h), k, s, s2),
         label=g.label,
+        responses=lambda h, k, s: g.responses(lens.view(h), k, s),
     )
 
 
@@ -370,6 +437,7 @@ def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
         lambda s: lens_compose(g.play(s), lens),
         lambda h, k, s, s2: g.best(h, apply_continuation(lens, k), s, s2),
         label=g.label,
+        responses=lambda h, k, s: g.responses(h, apply_continuation(lens, k), s),
     )
 
 
@@ -377,6 +445,11 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
     """Pull the strategy set back along a function into g's strategies."""
     if f.cod != g.strategies:
         raise TypeMismatch("reindexing function must land in the strategy set")
+
+    def responses(h, k, s):
+        kept = set(g.responses(h, k, f(s)))
+        return tuple(d for d in f.dom if f(d) in kept)
+
     return OpenGame(
         g.src,
         g.dst,
@@ -384,6 +457,7 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
         lambda s: g.play(f(s)),
         lambda h, k, s, s2: g.best(h, k, f(s), f(s2)),
         label=g.label,
+        responses=responses,
     )
 
 

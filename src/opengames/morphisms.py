@@ -84,6 +84,22 @@ class MorphismCheck:
         return self.ok
 
 
+def _continuations(d, supplied, bound):
+    """The continuations on `d` to check: all of them or the probes, then `supplied`.
+
+    A supplied continuation must live on `d`; one already listed is dropped.
+    """
+    ks = list(default_continuations(d, bound))
+    seen = set(ks)
+    for k in supplied or ():
+        if k.dom != d.forward:
+            raise TypeMismatch("supplied continuations must live on the game's target boundary")
+        if k not in seen:
+            seen.add(k)
+            ks.append(k)
+    return ks
+
+
 def check_morphism(
     m: GameMorphism, continuations=None, bound: int = DEFAULT_BOUND
 ) -> MorphismCheck:
@@ -93,7 +109,11 @@ def check_morphism(
     Axiom 2 ranges over histories of the target source boundary and over
     continuations of the source game's target: all of them when the
     backward carrier is enumerable, otherwise the probe set plus any
-    caller-supplied `continuations`.  Returns the first failing witness.
+    caller-supplied `continuations`.  For each strategy `s` it takes the
+    source game's best responses to `s` once, and the target game's to
+    the image of `s` only when there are any; every deviation must map
+    into the latter.  Returns the first failing witness, the same
+    `(s, s2, h, k)` a test of every pair in canonical order finds first.
     """
     g, g2 = m.source_game, m.target_game
     for s in g.strategies:
@@ -101,25 +121,18 @@ def check_morphism(
         right = lens_compose(g2.play(m.sigma_map(s)), m.t_lens)
         if not lenses_equal(left, right, bound):
             return MorphismCheck(False, 1, (s,))
-    ks = list(default_continuations(g.dst, bound))
-    if continuations:
-        seen = set(ks)
-        for k in continuations:
-            if k.dom != g.dst.forward:
-                raise TypeMismatch(
-                    "supplied continuations must live on the source game's target boundary"
-                )
-            if k not in seen:
-                ks.append(k)
+    ks = _continuations(g.dst, continuations, bound)
     for h in g2.src.forward:
         h_up = m.s_lens.view(h)
         for k in ks:
             k_down = apply_continuation(m.t_lens, k)
             for s in g.strategies:
-                for s2 in g.strategies:
-                    if g.best(h_up, k, s, s2) and not g2.best(
-                        h, k_down, m.sigma_map(s), m.sigma_map(s2)
-                    ):
+                deviations = g.responses(h_up, k, s)
+                if not deviations:
+                    continue
+                kept = set(g2.responses(h, k_down, m.sigma_map(s)))
+                for s2 in deviations:
+                    if m.sigma_map(s2) not in kept:
                         return MorphismCheck(False, 2, (s, s2, h, k))
     return MorphismCheck(True)
 
@@ -252,8 +265,10 @@ def find_globular_iso(
 
     Strategies are first grouped by play lens; candidate bijections must
     match groups, then preserve best responses over all probe contexts
-    (plus any supplied continuations) in both directions.  Returns the
-    isomorphism as a globular GameMorphism, or None.
+    (plus any supplied continuations, which must live on the target
+    boundary) in both directions: at each context the image of g1's set
+    of best responses to `s` must be g2's set for the image of `s`.
+    Returns the isomorphism as a globular GameMorphism, or None.
     """
     if g1.src != g2.src or g1.dst != g2.dst:
         return None
@@ -289,17 +304,17 @@ def find_globular_iso(
         else:
             return None
 
-    ks = list(default_continuations(g1.dst, bound))
-    if continuations:
-        ks.extend(k for k in continuations if k not in set(ks))
+    ks = _continuations(g1.dst, continuations, bound)
     contexts = [(h, k) for h in g1.src.forward for k in ks]
 
     def preserves(mapping):
+        # `mapping` is a bijection, so equal sets mean every pair agrees.
         for (h, k) in contexts:
             for s in g1.strategies:
-                for s2 in g1.strategies:
-                    if g1.best(h, k, s, s2) != g2.best(h, k, mapping[s], mapping[s2]):
-                        return False
+                if {mapping[d] for d in g1.responses(h, k, s)} != set(
+                    g2.responses(h, k, mapping[s])
+                ):
+                    return False
         return True
 
     perms_per_class = [

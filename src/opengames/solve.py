@@ -106,19 +106,21 @@ def _chain_profile(profile, n):
     return tuple(out)
 
 
-def _flatten_stage_strategy(sigma: TotalFn, choices, i):
-    """Rebase a stage strategy from nested histories onto plain tuples."""
-    dom = flat_product(choices[:i])
-    return total_fn(dom, choices[i], lambda xs: sigma(nest_value(xs)))
+def _flatten_stage_strategy(sigma: TotalFn, dom, choices):
+    """Rebase a stage strategy from nested histories onto the plain tuples `dom`."""
+    return total_fn(dom, choices, lambda xs: sigma(nest_value(xs)))
 
 
 def sequential_profiles(sq: SequentialGame, nested_profiles):
     n = sq.players
+    doms = [flat_product(sq.choices[:i]) for i in range(n)]
     out = []
     for p in nested_profiles:
         stages = _chain_profile(p, n)
         out.append(
-            tuple(_flatten_stage_strategy(s, sq.choices, i) for i, s in enumerate(stages))
+            tuple(
+                _flatten_stage_strategy(s, doms[i], sq.choices[i]) for i, s in enumerate(stages)
+            )
         )
     return out
 

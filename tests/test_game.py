@@ -320,6 +320,37 @@ def test_states_match_the_definition_on_random_composites():
                 assert game_states(g, k) == _definition_states(g, k), (seed, g)
 
 
+def _plumbing_games(rng):
+    """Unit and trivial games, and a game reindexed along its target."""
+    xs, ys = make_set(["x0", "x1", "x2"]), make_set(["y0", "y1"])
+    atom = _random_atom(rng)
+    return [
+        unit_game(Diset(xs, Payoff(1))),
+        trivial_game(random_lens(rng, Diset(xs, ys), Diset(ys, xs))),
+        reindex_target(atom, random_lens(rng, atom.dst, Diset(xs, ys))),
+        reindex_target(decision(xs, ys), runit_inv_lens(Diset(ys, Payoff(1)))),
+        seq_compose(unit_game(Diset(ys, UNIT_SET)), decision(ys, xs)),
+    ]
+
+
+def test_responses_match_the_definition_on_random_composites():
+    """Each constructor's best-response set equals filtering every deviation through `best`."""
+    for seed in range(150):
+        rng = random.Random(f"responses/{seed}")
+        games = [_random_composite(rng, rng.randint(1, 2))]
+        if seed % 10 == 0:
+            games += _decision_composites(rng) + _plumbing_games(rng)
+        for g in games:
+            for _ in range(2):
+                k = total_fn(
+                    g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
+                )
+                for h in g.src.forward:
+                    for s in rng.sample(g.strategies.elements, min(3, len(g.strategies))):
+                        expected = tuple(d for d in g.strategies if g.best(h, k, s, d))
+                        assert g.responses(h, k, s) == expected, (seed, g, h, s)
+
+
 def test_product_requires_shared_backward_carriers():
     a = decision(UNIT_SET, MOVES)
     b = copy_decision([MOVES, MOVES])

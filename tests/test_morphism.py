@@ -1,14 +1,17 @@
 """Game morphisms: the two axioms, composition, states as morphisms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from opengames.errors import BoundaryMismatch, EnumerationBound, NotAState, TypeMismatch
 from opengames.finite import Payoff, UNIT, UNIT_SET, make_set, total_fn
+from opengames.cells import interchange_cell, seq_assoc_cell
 from opengames.games import (
     OpenGame,
     copy_decision,
+    copy_decision_composite,
     decision,
     game_states,
     product_games,
@@ -22,10 +25,13 @@ from opengames.games import (
 from opengames.lenses import (
     Diset,
     UNIT_DISET,
+    apply_continuation,
     cartesian_lift,
+    default_continuations,
     effect_lens,
     lens_compose,
     lens_identity,
+    lenses_equal,
 )
 from opengames.morphisms import (
     GameMorphism,
@@ -42,6 +48,7 @@ from opengames.morphisms import (
     tensor_morphisms,
     vcompose,
 )
+from opengames.sampling import random_diset, random_game
 
 MOVES = make_set(["C", "D"])
 XY = make_set(["X", "Y"])
@@ -304,3 +311,98 @@ def test_find_globular_iso_failure_modes():
         total_fn(make_set(["only"]), g.strategies, {"only": const_strategy(g, "C")}),
     )
     assert find_globular_iso(g, smaller) is None
+
+
+# ---------- the continuation list and the per-strategy axiom 2 ----------
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of an `OpenGame` method, keyed by the game's label."""
+    calls = {}
+    method = getattr(OpenGame, name)
+
+    def counting(self, *args):
+        calls[self.label] = calls.get(self.label, 0) + 1
+        return method(self, *args)
+
+    monkeypatch.setattr(OpenGame, name, counting)
+    return calls
+
+
+def test_supplied_continuations_are_validated_and_deduplicated(monkeypatch):
+    g = decision(UNIT_SET, make_set(["X", "Y", "Z"]))
+    wrong = total_fn(MOVES, Payoff(1), lambda _: Q(0))
+    with pytest.raises(TypeMismatch, match="target boundary"):
+        find_globular_iso(g, g, continuations=[wrong])
+    k = total_fn(g.dst.forward, Payoff(1), {"X": Q(3), "Y": Q(5), "Z": Q(5)})
+    calls = _count_calls(monkeypatch, "responses")
+    counts = []
+    for supplied in (None, [k], [k, k, k]):
+        calls.clear()
+        assert check_morphism(identity_morphism(g), continuations=supplied)
+        counts.append(sum(calls.values()))
+    assert counts[0] < counts[1] == counts[2]
+
+
+def test_morphism_checks_never_test_a_composite_best_response(monkeypatch):
+    """Axiom 2 and the iso search build deviation sets instead of testing pairs."""
+    rng = random.Random(5)
+    top = [random_diset(rng) for _ in range(3)]
+    bot = [random_diset(rng) for _ in range(3)]
+    g1, h1 = (random_game(rng, top[j], top[j + 1], max_strategies=2) for j in range(2))
+    g2, h2 = (random_game(rng, bot[j], bot[j + 1], max_strategies=2) for j in range(2))
+    chain = [random_diset(rng) for _ in range(4)]
+    g, h, i = (random_game(rng, chain[j], chain[j + 1], max_strategies=2) for j in range(3))
+    moves = make_set(["L", "R"])
+    calls = _count_calls(monkeypatch, "best")
+    assert check_morphism(interchange_cell(g1, g2, h1, h2))
+    assert check_morphism(seq_assoc_cell(g, h, i))
+    direct, staged = copy_decision([moves, moves]), copy_decision_composite([moves, moves])
+    assert find_globular_iso(direct, staged)
+    composites = {"seq", "tensor", "product", "copy-decision-composite"}
+    assert calls and not composites & set(calls), calls
+
+
+def _pairwise_axiom_two(m):
+    """Axiom 2 by the definition: every pair of strategies, in canonical order."""
+    g, g2 = m.source_game, m.target_game
+    for h in g2.src.forward:
+        h_up = m.s_lens.view(h)
+        for k in default_continuations(g.dst):
+            k_down = apply_continuation(m.t_lens, k)
+            for s in g.strategies:
+                for s2 in g.strategies:
+                    if g.best(h_up, k, s, s2) and not g2.best(
+                        h, k_down, m.sigma_map(s), m.sigma_map(s2)
+                    ):
+                        return (s, s2, h, k)
+    return None
+
+
+def test_axiom_two_witness_is_the_first_failing_pair():
+    """Scrambled seq-assoc cells: strategies go to any target with the same play."""
+    failures = 0
+    for seed in range(120):
+        rng = random.Random(f"scrambled/{seed}")
+        disets = [random_diset(rng, max_size=rng.choice([1, 2])) for _ in range(4)]
+        g, h, i = (random_game(rng, disets[j], disets[j + 1], max_strategies=2) for j in range(3))
+        cell = seq_assoc_cell(g, h, i)
+        target = cell.target_game
+        scrambled = {}
+        for s in cell.source_game.strategies:
+            lens = target.play(cell.sigma_map(s))
+            same = [t for t in target.strategies if lenses_equal(target.play(t), lens)]
+            scrambled[s] = rng.choice(same)
+        m = GameMorphism(
+            cell.source_game,
+            target,
+            cell.s_lens,
+            cell.t_lens,
+            total_fn(cell.source_game.strategies, target.strategies, scrambled),
+        )
+        expected = _pairwise_axiom_two(m)
+        report = check_morphism(m)
+        assert report.axiom == (None if expected is None else 2), seed
+        assert report.witness == expected, seed
+        failures += expected is not None
+    assert failures >= 20

@@ -32,7 +32,8 @@ def _round(name, tmp_path):
         return workloads.seq_spe(1, pool=1)[0]
     if name == "doc-cli":
         return workloads.doc_cli(1, pool=1, workdir=tmp_path)[0]
-    return [workloads._law_op(s) for s in range(3)]
+    # Law seed 42 is the pool's slowest op and heavy on the interchange cell.
+    return [workloads._law_op(s) for s in (0, 1, 2, 42)]
 
 
 @pytest.mark.parametrize("name", ["nf-nash", "seq-spe", "doc-cli", "laws"])
