@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TypeMismatch
-from .finite import TotalFn, format_value, total_fn, value_to_json
+from .finite import TotalFn, format_value, value_to_json
 from .games import OpenGame, game_states, product_games, seq_compose, tensor_games
-from .lenses import Tag, apply_continuation
+from .lenses import apply_continuation, branch_continuation, factor_continuation
 
 
 class GameExpr:
@@ -160,8 +160,7 @@ def _separable(expr, k, memo):
             for j, child in enumerate(expr.children):
                 sub = subs.get(j)
                 if sub is None:
-                    dst = eval_expr(child).dst
-                    kj = total_fn(dst.forward, dst.backward, lambda y: k(Tag(j, y)))
+                    kj = branch_continuation(k, j, eval_expr(child).dst)
                     sub = subs[j] = _separable(child, kj, memo)
                 if profile[j] not in sub:
                     certs = None
@@ -185,7 +184,7 @@ def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
         y2 = right_view(h2)
         sub = subs.get((0, y2))
         if sub is None:
-            kl = total_fn(gl.dst.forward, gl.dst.backward, lambda y: k((y, y2))[0])
+            kl = factor_continuation(k, 0, y2, gl.dst)
             sub = subs[(0, y2)] = _separable(expr.left, kl, memo)
         if sl not in sub:
             return None
@@ -196,7 +195,7 @@ def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
         y1 = left_view(h1)
         sub = subs.get((1, y1))
         if sub is None:
-            kr = total_fn(gr.dst.forward, gr.dst.backward, lambda y: k((y1, y))[1])
+            kr = factor_continuation(k, 1, y1, gr.dst)
             sub = subs[(1, y1)] = _separable(expr.right, kr, memo)
         if sr not in sub:
             return None

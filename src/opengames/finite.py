@@ -337,6 +337,12 @@ class TotalFn:
 
     `values` is aligned with the domain's canonical element order, which makes
     equality extensional for free.
+
+    `TotalFn(...)` and `total_fn` check every value against the codomain:
+    they build tables from outside the engine and tables filled by symbolic
+    updates, which nothing type-checks.  `_derived_fn` checks only the
+    length; the engine uses it where each value is read from a checked table
+    with the same codomain or is an element of the codomain.
     """
 
     dom: FiniteSet
@@ -367,6 +373,15 @@ class TotalFn:
         return format_fn(self)
 
 
+def _derived_fn(dom: FiniteSet, cod, values: tuple) -> TotalFn:
+    """A table whose values are known to lie in `cod`; see `TotalFn`."""
+    if len(values) != len(dom):
+        raise TypeMismatch("table length does not match domain size")
+    fn = object.__new__(TotalFn)
+    fn.__dict__.update(dom=dom, cod=cod, values=values)
+    return fn
+
+
 def total_fn(dom: FiniteSet, cod, mapping) -> TotalFn:
     """Build a TotalFn from a callable or a dict keyed by domain elements."""
     if callable(mapping) and not isinstance(mapping, dict):
@@ -377,14 +392,14 @@ def total_fn(dom: FiniteSet, cod, mapping) -> TotalFn:
 
 
 def identity_fn(s: FiniteSet) -> TotalFn:
-    return TotalFn(s, s, tuple(s.elements))
+    return _derived_fn(s, s, s.elements)
 
 
 def compose_fn(g: TotalFn, f: TotalFn) -> TotalFn:
     """g after f."""
     if f.cod != g.dom:
         raise TypeMismatch("composition boundary mismatch")
-    return TotalFn(f.dom, g.cod, tuple(g(v) for v in f.values))
+    return _derived_fn(f.dom, g.cod, tuple(g(v) for v in f.values))
 
 
 def const_fn(dom: FiniteSet, cod, value) -> TotalFn:
@@ -399,7 +414,7 @@ def enumerate_functions(dom: FiniteSet, cod: FiniteSet, bound: int = DEFAULT_BOU
             f"{len(cod)}^{len(dom)} = {count} functions exceeds bound {bound}"
         )
     return [
-        TotalFn(dom, cod, vals)
+        _derived_fn(dom, cod, vals)
         for vals in itertools.product(cod.elements, repeat=len(dom))
     ]
 

@@ -15,6 +15,11 @@ deviations into its argmax, seq and tensor take the product of their
 parts' sets against the cut or factor continuations, and a product
 varies only the tagged child.  Only games built by hand, such as
 `sampling.random_game`, filter every deviation through `best`.
+
+Tensor factor and product child continuations are kept per call in
+`states`, where the continuation is fixed, so none is hashed or outlives
+the search; `best` and `responses` keep them per game, keyed by
+continuation, since the morphism checks ask again with the same one.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .finite import (
     DEFAULT_BOUND,
     FiniteSet,
     Payoff,
-    Tag,
     TotalFn,
     UNIT,
     UNIT_SET,
@@ -45,6 +49,7 @@ from .lenses import (
     UConst,
     USecond,
     apply_continuation,
+    branch_continuation,
     copair_lenses,
     coproduct_diset,
     diset_tensor,
@@ -298,19 +303,20 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
     def play(ss):
         return lens_tensor(g1.play(ss[0]), g2.play(ss[1]))
 
+    def context_k(side, hist, k, partner):
+        build = right_context if side else left_context
+        return build(partner, Context(hist, k), (g1, g2)[side].dst).continuation
+
     # A factor's continuation depends on the joint continuation and on the
     # partner's move only, so many partner strategies share one table.
+    # This per-game table serves `best`/`responses`; `states` keeps its own.
     factor_ks = {}  # (side, k, partner move) -> that factor's continuation
 
     def factor_k(side, hist, k, partner):
         key = (side, k, partner.view(hist[1 - side]))
         kf = factor_ks.get(key)
         if kf is None:
-            if side == 0:
-                kf = left_context(partner, Context(hist, k), g1.dst).continuation
-            else:
-                kf = right_context(partner, Context(hist, k), g2.dst).continuation
-            factor_ks[key] = kf
+            kf = factor_ks[key] = context_k(side, hist, k, partner)
         return kf
 
     def best(hist, k, ss, dd):
@@ -329,15 +335,19 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
         )
 
     def states(hists, k):
+        kfs = {}  # (side, partner move) -> that factor's continuation under k
         found = {}  # (side, own history, partner move) -> that factor's states
 
         def needs(side, partner):  # the sets one factor must lie in
             sets = []
             for hist in hists:
-                key = (side, hist[side], partner.view(hist[1 - side]))
+                move = partner.view(hist[1 - side])
+                key = (side, hist[side], move)
                 got = found.get(key)
                 if got is None:
-                    kf = factor_k(side, hist, k, partner)
+                    kf = kfs.get((side, move))
+                    if kf is None:
+                        kf = kfs[(side, move)] = context_k(side, hist, k, partner)
                     got = found[key] = set((g1, g2)[side].states((hist[side],), kf))
                 sets.append(got)
             return sets
@@ -377,14 +387,12 @@ def product_games(games) -> OpenGame:
             [lens_compose(g.play(sigma[j]), injections[j]) for j, g in enumerate(games)]
         )
 
-    factor_ks = {}  # (j, k) -> continuation of factor j
+    factor_ks = {}  # (j, k) -> continuation of factor j, for `best` and `responses`
 
     def factor_k(j, k):
         kj = factor_ks.get((j, k))
         if kj is None:
-            kj = factor_ks[(j, k)] = total_fn(
-                games[j].dst.forward, dst.backward, lambda y: k(Tag(j, y))
-            )
+            kj = factor_ks[(j, k)] = branch_continuation(k, j, games[j].dst)
         return kj
 
     def best(hist, k, sigma, dev):
@@ -404,7 +412,9 @@ def product_games(games) -> OpenGame:
         per_child = []
         for j, g in enumerate(games):
             mine = [hist.value for hist in hists if hist.side == j]
-            per_child.append(g.states(mine, factor_k(j, k)) if mine else g.strategies)
+            per_child.append(
+                g.states(mine, branch_continuation(k, j, g.dst)) if mine else g.strategies
+            )
         return list(flat_product(per_child))
 
     return OpenGame(src, dst, strategies, play, best, label="product", states=states,

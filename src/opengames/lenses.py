@@ -17,13 +17,16 @@ from .errors import BackwardMismatch, EnumerationBound, TypeMismatch
 from .finite import (
     DEFAULT_BOUND,
     FiniteSet,
+    PairCarrier,
     Tag,
     TotalFn,
     UNIT,
     UNIT_SET,
+    _derived_fn,
     carrier_elements,
     const_fn,
     compose_fn,
+    format_value,
     identity_fn,
     is_enumerable,
     probe_values,
@@ -157,7 +160,12 @@ class UTable(Update):
         self.entries = dict(entries)
 
     def apply(self, x, r):
-        return self.entries[(x, r)]
+        try:
+            return self.entries[(x, r)]
+        except KeyError:
+            raise TypeMismatch(
+                f"update table has no entry for ({format_value(x)}, {format_value(r)})"
+            ) from None
 
 
 class UProj2(Update):
@@ -278,7 +286,8 @@ def lens_compose(first: Lens, second: Lens) -> Lens:
 def lens_tensor(a: Lens, b: Lens) -> Lens:
     dom = diset_tensor(a.dom, b.dom)
     cod = diset_tensor(a.cod, b.cod)
-    view = total_fn(dom.forward, cod.forward, lambda xy: (a.view(xy[0]), b.view(xy[1])))
+    pairs = tuple((a.view(x), b.view(y)) for x, y in dom.forward)  # in cod.forward
+    view = _derived_fn(dom.forward, cod.forward, pairs)
     return Lens(dom, cod, view, UTensor(a.update, b.update))
 
 
@@ -441,6 +450,26 @@ class Context:
     continuation: TotalFn
 
 
+def factor_continuation(k: TotalFn, side: int, partner_move, dst: Diset) -> TotalFn:
+    """Component `side` of `k` with the partner's move plugged in.
+
+    Values are checked unless `k.cod` is a pair carrier with that component.
+    """
+    if side == 0:
+        vals = tuple(k((y, partner_move))[0] for y in dst.forward)
+    else:
+        vals = tuple(k((partner_move, y))[1] for y in dst.forward)
+    cod = k.cod
+    derived = isinstance(cod, PairCarrier) and (cod.fst, cod.snd)[side] == dst.backward
+    return (_derived_fn if derived else TotalFn)(dst.forward, dst.backward, vals)
+
+
+def branch_continuation(k: TotalFn, j: int, dst: Diset) -> TotalFn:
+    """A coproduct branch's continuation: `k` read through the injection `j`."""
+    vals = tuple(k(Tag(j, y)) for y in dst.forward)
+    return (_derived_fn if k.cod == dst.backward else TotalFn)(dst.forward, dst.backward, vals)
+
+
 def left_context(right_play: Lens, c: Context, left_dst: Diset) -> Context:
     """Project a tensor context onto the left factor.
 
@@ -448,20 +477,12 @@ def left_context(right_play: Lens, c: Context, left_dst: Diset) -> Context:
     the joint continuation and keeps the left component of the backward pair.
     """
     h1, h2 = c.history
-    y2 = right_play.view(h2)
-    k = total_fn(
-        left_dst.forward, left_dst.backward, lambda y: c.continuation((y, y2))[0]
-    )
-    return Context(h1, k)
+    return Context(h1, factor_continuation(c.continuation, 0, right_play.view(h2), left_dst))
 
 
 def right_context(left_play: Lens, c: Context, right_dst: Diset) -> Context:
     h1, h2 = c.history
-    y1 = left_play.view(h1)
-    k = total_fn(
-        right_dst.forward, right_dst.backward, lambda y: c.continuation((y1, y))[1]
-    )
-    return Context(h2, k)
+    return Context(h2, factor_continuation(c.continuation, 1, left_play.view(h1), right_dst))
 
 
 def default_continuations(d: Diset, bound: int = DEFAULT_BOUND):
@@ -476,6 +497,6 @@ def default_continuations(d: Diset, bound: int = DEFAULT_BOUND):
     if count > bound:
         raise EnumerationBound(f"{count} continuations exceed bound {bound}")
     return [
-        TotalFn(d.forward, d.backward, vs)
+        _derived_fn(d.forward, d.backward, vs)
         for vs in itertools.product(vals, repeat=len(d.forward))
     ]

@@ -27,6 +27,7 @@ from .finite import (
     UNIT_SET,
     Payoff,
     TotalFn,
+    _derived_fn,
     flat_product,
     flatten_value,
     format_value,
@@ -54,10 +55,11 @@ def build_normal_form_expr(nf: NormalFormGame):
             return values
         return (pack(values[:-1], depth - 1), (values[-1],))
 
-    k = total_fn(
+    # `nf.payoff` is a checked table into Q^n; `pack` only re-nests its vectors.
+    k = _derived_fn(
         game.dst.forward,
         game.dst.backward,
-        lambda y: pack(nf.payoff(flatten_value(y, n)), n),
+        tuple(pack(nf.payoff(flatten_value(y, n)), n) for y in game.dst.forward),
     )
     return expr, k
 
@@ -87,10 +89,11 @@ def build_sequential_expr(sq: SequentialGame):
     for atom in reversed(stages[:-1]):
         expr = Seq(atom, expr)
     game = eval_expr(expr)
-    k = total_fn(
+    # `SequentialGame` holds a checked payoff table landing in Q^n.
+    k = _derived_fn(
         game.dst.forward,
         Payoff(n),
-        lambda v: sq.payoff(flatten_value(v, n)),
+        tuple(sq.payoff(flatten_value(v, n)) for v in game.dst.forward),
     )
     return expr, k
 

@@ -63,6 +63,18 @@ def test_normal_form_validation():
         NormalFormGame((MOVES, MOVES), bad_dom)
 
 
+def test_payoffs_off_the_payoff_carrier_are_rejected():
+    for build in (normal_form, sequential_game):
+        for payoff in (
+            lambda p: (Q(1),),  # one coordinate for two players
+            lambda p: (Q(1), Q(0), Q(0)),
+            lambda p: (1, 0),  # ints, not Fractions
+            lambda p: (Q(1), 0.5),
+        ):
+            with pytest.raises(TypeMismatch):
+                build([MOVES, MOVES], payoff)
+
+
 # ---------- staged games ----------
 
 

@@ -344,6 +344,15 @@ def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
         assert err.startswith(f"{path}:{expected}")
 
 
+def test_payoff_row_of_the_wrong_arity_exits_two_with_position(tmp_path, capsys):
+    text = PD_DOC.replace("((D C) -> (3 0))", "((D C) -> (3))")
+    for command in (["parse"], ["solve", "--mode", "nash"]):
+        path = write_doc(tmp_path, text)
+        code, out, err = run_cli(capsys, command + ["--input", path])
+        assert code == 2 and not out
+        assert err.startswith(f"{path}:5:13: expected 2 rationals")
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(PD_DOC))
     code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])

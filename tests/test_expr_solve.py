@@ -327,6 +327,61 @@ def test_nash_never_tests_a_composite_best_response(rng, monkeypatch):
     assert not {"seq", "tensor", "product"} & set(calls), calls
 
 
+def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
+    """On a prebuilt 5-player tensor, states neither re-check nor hash payoff tables.
+
+    Each factor table is built once per state search (one continuation),
+    side and partner move.
+    """
+    import random
+
+    import opengames.finite as og_finite
+    import opengames.games as og_games
+    from opengames.classical import brute_nash
+    from opengames.finite import FiniteSet, TotalFn
+    from opengames.sampling import random_fraction
+    from opengames.solve import build_normal_form_expr
+
+    rng = random.Random(5)
+    nf = normal_form([MOVES] * 5, lambda p: tuple(random_fraction(rng) for _ in range(5)))
+    expr, k = build_normal_form_expr(nf)
+    eval_expr(expr)
+
+    scans, hashed, built, seen = [], [], {}, []
+    contains = og_finite.carrier_contains
+    table_hash = TotalFn.__hash__
+
+    def scanning(carrier, v):
+        scans.append(carrier)
+        return contains(carrier, v)
+
+    def hashing(fn):
+        if not isinstance(fn.cod, FiniteSet):
+            hashed.append(fn.cod)
+        return table_hash(fn)
+
+    def recording(side, build):
+        def wrapped(partner, c, dst):
+            seen.append(c.continuation)  # keeps each id unique while counting
+            key = (id(c.continuation), side, partner.view(c.history[1 - side]))
+            built[key] = built.get(key, 0) + 1
+            return build(partner, c, dst)
+
+        return wrapped
+
+    monkeypatch.setattr(og_finite, "carrier_contains", scanning)
+    monkeypatch.setattr(TotalFn, "__hash__", hashing)
+    monkeypatch.setattr(og_games, "left_context", recording(0, og_games.left_context))
+    monkeypatch.setattr(og_games, "right_context", recording(1, og_games.right_context))
+    profiles = states_over(expr, k)
+    monkeypatch.undo()
+
+    assert [tuple(s(UNIT) for s in flatten_value(p, 5)) for p in profiles] == brute_nash(nf)
+    assert not scans, scans[:3]
+    assert not hashed, hashed[:3]
+    assert built and max(built.values()) == 1
+
+
 def test_separable_checks_the_continuation_boundary():
     expr = Atom(decision(UNIT_SET, MOVES))
     bad = total_fn(UNIT_SET, Payoff(1), lambda _: (Q(0),))

@@ -9,6 +9,7 @@ from opengames.classical import brute_nash, normal_form
 from opengames.errors import EmptyChoiceSet, EnumerationBound, TypeMismatch
 from opengames.finite import (
     FiniteSet,
+    PairCarrier,
     Payoff,
     Tag,
     UNIT,
@@ -387,6 +388,54 @@ def test_product_games_split_by_tag():
     lens = g.play(states[0])
     assert lens.view(Tag(0, UNIT)) == Tag(0, "C")
     assert lens.view(Tag(1, "C")) == Tag(1, "D")
+
+
+def test_states_check_a_continuation_off_the_target_carrier():
+    """A factor or branch table read from a continuation of the wrong carrier is checked."""
+    two = lambda *_: (Fraction(0), Fraction(0))
+    g = tensor_games(decision(UNIT_SET, MOVES), decision(UNIT_SET, MOVES))
+    wrong = PairCarrier(Payoff(2), Payoff(1))
+    k = total_fn(g.dst.forward, wrong, lambda y: (two(), Q(0)))
+    with pytest.raises(TypeMismatch):
+        game_states(g, k)
+    p = product_games([decision(UNIT_SET, MOVES), decision(MOVES, MOVES)])
+    with pytest.raises(TypeMismatch):
+        game_states(p, total_fn(p.dst.forward, Payoff(2), two))
+
+
+def test_tensor_states_keep_no_continuation_tables():
+    """Fresh continuations through one tensor game leave nothing behind."""
+    import gc
+    import inspect
+    import tracemalloc
+
+    from opengames.sampling import random_fraction
+
+    moves = make_set(["a", "b", "c", "d"])
+    g = tensor_games(decision(UNIT_SET, moves), decision(UNIT_SET, moves))
+    rng = random.Random(400)
+
+    def fresh():
+        return total_fn(
+            g.dst.forward,
+            g.dst.backward,
+            lambda _: ((random_fraction(rng),), (random_fraction(rng),)),
+        )
+
+    game_states(g, fresh())  # fills the play caches, bounded by the strategies
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(400):
+            game_states(g, fresh())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20, retained
+    factor_k = inspect.getclosurevars(g._responses).nonlocals["factor_k"]
+    assert inspect.getclosurevars(factor_k).nonlocals["factor_ks"] == {}
 
 
 def test_composite_copy_decision_shares_boundaries():

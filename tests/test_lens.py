@@ -246,7 +246,56 @@ def test_tensor_context_projections():
     assert right.continuation("D") == (Fraction(3),)
 
 
+def test_contexts_reject_a_mismatched_factor_boundary():
+    moves = make_set(["C", "D"])
+    d = Diset(moves, Payoff(1))
+    joint = diset_tensor(d, d)
+    k = total_fn(joint.forward, joint.backward, lambda y: ((Fraction(0),), (Fraction(1),)))
+    c = Context(("C", "D"), k)
+    for project in (left_context, right_context):
+        for dst in (Diset(moves, Payoff(2)), Diset(moves, make_set(["r"])),
+                    Diset(make_set(["C", "E"]), Payoff(1))):
+            with pytest.raises(TypeMismatch):
+                project(lens_identity(d), c, dst)
+    # Finite backward sets collapse to a finite set of pairs.
+    f = Diset(moves, make_set(["r", "s"]))
+    joint = diset_tensor(f, f)
+    k = total_fn(joint.forward, joint.backward, lambda y: ("s", "s"))
+    narrow = Diset(moves, make_set(["r"]))
+    for project in (left_context, right_context):
+        with pytest.raises(TypeMismatch):
+            project(lens_identity(f), Context(("C", "D"), k), narrow)
+
+
+def test_transported_continuations_are_checked():
+    from opengames.lenses import Lens, UConst
+
+    d = Diset(make_set(["x"]), Payoff(1))
+    view = total_fn(d.forward, d.forward, {"x": "x"})
+    k = total_fn(d.forward, Payoff(1), lambda _: (Fraction(0),))
+    for off in ((1,), (Fraction(0), Fraction(0))):
+        with pytest.raises(TypeMismatch):
+            apply_continuation(Lens(d, d, view, UConst(off)), k)
+        effect = Lens(d, UNIT_DISET, total_fn(d.forward, UNIT_SET, lambda _: UNIT), UConst(off))
+        with pytest.raises(TypeMismatch):
+            lens_to_continuation(effect)
+
+
 # ---------- equality edges ----------
+
+
+def test_update_table_reports_a_missing_entry():
+    """Comparing table updates over Q^1 probes vectors outside the tables."""
+    from opengames.lenses import Lens, UTable
+
+    d = Diset(make_set(["a"]), Payoff(1))
+    view = total_fn(d.forward, d.forward, {"a": "a"})
+
+    def table(q):
+        return Lens(d, d, view, UTable({("a", (Fraction(-1),)): (Fraction(q),)}))
+
+    with pytest.raises(TypeMismatch, match=r"no entry for \(a, \(0\)\)"):
+        lenses_equal(table(0), table(1))
 
 
 def test_lenses_equal_uses_probes_on_payoff_carriers():

@@ -157,6 +157,25 @@ def test_total_fn_checks_codomain():
         TotalFn(dom, make_set(["a"]), ("a",))
 
 
+def test_total_fn_and_its_builder_reject_off_carrier_values():
+    dom = make_set(["x", "y"])
+    half = Fraction(1, 2)
+    cases = [
+        (make_set(["a"]), {"x": "a", "y": "b"}),
+        (Payoff(1), {"x": (half,), "y": (1,)}),  # not a Fraction
+        (Payoff(2), {"x": (half, half), "y": (half,)}),  # wrong dimension
+        (PairCarrier(Payoff(1), make_set(["a"])), {"x": ((half,), "a"), "y": ((half,), "b")}),
+        (SumCarrier((Payoff(1), make_set(["a"]))), {"x": Tag(0, (half,)), "y": Tag(0, "a")}),
+    ]
+    for cod, table in cases:
+        with pytest.raises(TypeMismatch):
+            TotalFn(dom, cod, tuple(table[x] for x in dom))
+        with pytest.raises(TypeMismatch):
+            total_fn(dom, cod, table)
+        with pytest.raises(TypeMismatch):
+            total_fn(dom, cod, lambda x: table[x])
+
+
 def test_total_fn_equality_is_extensional():
     dom = make_set([0, 1])
     cod = make_set(["a", "b"])
