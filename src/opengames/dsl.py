@@ -53,6 +53,7 @@ from .finite import (
     Tag,
     carrier_contains,
     coproduct_set,
+    flatten_value,
     format_value,
     make_set,
     nest_value,
@@ -213,6 +214,11 @@ class Document:
 
 def _err(node, message):
     return DocumentTypeError(message, node.line, node.col)
+
+
+def _flat_row(values):
+    """A payoff row's profile as it is written: `(a0 b0 c1)`."""
+    return "(" + " ".join(format_value(v) for v in values) + ")"
 
 
 def _need_list(node, what):
@@ -421,14 +427,14 @@ class _Analyzer:
                 vals.append(v)
             key = nest_value(tuple(vals))
             if key in table:
-                raise _err(parts[0], f"duplicate row for {format_value(key)}")
+                raise _err(parts[0], f"duplicate row for {_flat_row(vals)}")
             rhs = _need_list(parts[2], "a payoff vector")
             if len(rhs) != dim:
                 raise _err(parts[2], f"expected {dim} rationals")
             table[key] = tuple(self._rational(q) for q in rhs)
         for x in dom_set:
             if x not in table:
-                raise _err(form, f"missing row for {format_value(x)}")
+                raise _err(form, f"missing row for {_flat_row(flatten_value(x, len(doms)))}")
         fn = total_fn(dom_set, Payoff(dim), table)
         self._declare(items[1], "payoff", name, fn)
 

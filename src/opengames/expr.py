@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import TypeMismatch
 from .finite import TotalFn, format_value, value_to_json
 from .games import OpenGame, game_states, product_games, seq_compose, tensor_games
-from .lenses import apply_continuation, branch_continuation, factor_continuation
+from .lenses import branch_continuation, factor_continuation
 
 
 class GameExpr:
@@ -137,7 +137,7 @@ def _separable(expr, k, memo):
         h = eval_expr(expr.second)
         out = {}
         for tau, cert_second in _separable(expr.second, k, memo).items():
-            cut = apply_continuation(h.play(tau), k)
+            cut = h.transport(tau, k)
             for sigma, cert_first in _separable(expr.first, cut, memo).items():
                 out[(sigma, tau)] = CertSeq(cert_first, cert_second, cut)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -55,10 +55,16 @@ def inj_name(side: int) -> str:
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """An ordered finite set of distinct values; construction order is canonical."""
+    """An ordered finite set of distinct values; construction order is canonical.
+
+    `FiniteSet(...)` and `make_set` check that the values are distinct: they
+    build sets from outside the engine, such as document declarations.
+    `_derived_set` skips that scan; the engine uses it where the values are
+    distinct by construction (products of finite sets, function spaces).
+    The index behind `in` and `index` is built on first use either way.
+    """
 
     elements: tuple
-    _index: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         idx = {}
@@ -75,6 +81,11 @@ class FiniteSet:
     def _hash(self):
         # Computed on first use only: most sets are never used as keys.
         return hash((self.elements,))
+
+    @cached_property
+    def _index(self):
+        # Only derived sets get here; a checked set keeps the index of its scan.
+        return {v: i for i, v in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -93,6 +104,13 @@ class FiniteSet:
 
     def __repr__(self):
         return "{" + ", ".join(format_value(v) for v in self.elements) + "}"
+
+
+def _derived_set(elements: tuple) -> FiniteSet:
+    """A set whose values are known to be distinct; see `FiniteSet`."""
+    s = object.__new__(FiniteSet)
+    s.__dict__["elements"] = elements
+    return s
 
 
 def make_set(values) -> FiniteSet:
@@ -127,11 +145,16 @@ def flat_product(sets) -> FiniteSet:
     """n-tuples in lexicographic order; the 0-ary product is {()}.
 
     The size is checked against `DEFAULT_BOUND` before any tuple is built.
+    Tuples over finite sets are distinct by construction; factors given as
+    plain sequences may repeat values, so those products are checked.
     """
     count = math.prod(len(s) for s in sets)
     if count > DEFAULT_BOUND:
         raise EnumerationBound(f"{count} tuples exceed bound {DEFAULT_BOUND}")
-    return make_set(itertools.product(*sets))
+    tuples = tuple(itertools.product(*sets))
+    if all(isinstance(s, FiniteSet) for s in sets):
+        return _derived_set(tuples)
+    return FiniteSet(tuples)
 
 
 def nested_product(sets) -> FiniteSet:

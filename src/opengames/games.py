@@ -7,14 +7,20 @@ responses lazily by recursion on structure, with memoization; their
 strategy sets are products whose elements mirror the expression shape.
 
 States of seq, tensor and product games are assembled from their parts'
-states and a decision keeps the strategies that play into its argmax;
-only reindexed games filter every strategy through `best`.  In the same
-way each constructor builds the set of best responses to a strategy
-(`OpenGame.responses`) from its parts' sets: a decision keeps the
-deviations into its argmax, seq and tensor take the product of their
-parts' sets against the cut or factor continuations, and a product
-varies only the tagged child.  Only games built by hand, such as
-`sampling.random_game`, filter every deviation through `best`.
+states.  A decision's states are built as a product, with its argmax
+allowed at each asked history and any choice elsewhere, not by scanning
+its function space; only reindexed games filter every strategy through
+`best`.  In the same way each constructor builds the set of best
+responses to a strategy (`OpenGame.responses`) from its parts' sets: a
+decision keeps the deviations into its argmax, seq and tensor take the
+product of their parts' sets against the cut or factor continuations,
+and a product varies only the tagged child.  Only games built by hand,
+such as `sampling.random_game`, filter every deviation through `best`.
+
+A seq game evaluates the continuation at its cut stage by stage
+(`OpenGame.transport`): the second stage's play pulls the continuation
+back, then the first's, so no composite play lens is built on the
+equilibrium paths and each stage lens keeps its own tables.
 
 Tensor factor and product child continuations are kept per call in
 `states`, where the continuation is fixed, so none is hashed or outlives
@@ -34,9 +40,10 @@ from .finite import (
     TotalFn,
     UNIT,
     UNIT_SET,
+    _derived_fn,
+    _derived_set,
     enumerate_functions,
     flat_product,
-    make_set,
     nested_product,
     product_set,
     total_fn,
@@ -67,7 +74,7 @@ from .lenses import (
 
 class OpenGame:
     def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, best, label="",
-                 states=None, responses=None):
+                 states=None, responses=None, transport=None):
         self.src = src
         self.dst = dst
         self.strategies = strategies
@@ -75,6 +82,7 @@ class OpenGame:
         self._best = best
         self._states = states
         self._responses = responses
+        self._transport = transport
         self.label = label
         self._play_cache = {}
         self._best_cache = {}
@@ -88,6 +96,18 @@ class OpenGame:
             lens = self._play(sigma)
             self._play_cache[sigma] = lens
         return lens
+
+    def transport(self, sigma, k) -> TotalFn:
+        """The continuation `k` on the target pulled back to the source along `play(sigma)`.
+
+        Always equal to `apply_continuation(self.play(sigma), k)`.  A seq
+        game pulls `k` back through its second stage and then its first,
+        so no composite play lens is built and each stage lens keeps its
+        own table per continuation.
+        """
+        if self._transport is None:
+            return apply_continuation(self.play(sigma), k)
+        return self._transport(sigma, k)
 
     def best(self, history, continuation, sigma, deviation) -> bool:
         key = (history, continuation, sigma, deviation)
@@ -153,6 +173,25 @@ def _argmax(choices, score) -> set:
     return {y for y, v in scores.items() if v >= top}
 
 
+def _product_states(strategies: FiniteSet, dom: FiniteSet, choices: FiniteSet, hs, top) -> list:
+    """The strategies dom -> choices playing into `top(h)` at each asked `h`, in order.
+
+    `enumerate_functions` lists a function space mixed-radix, the first
+    history's choice most significant, so the answer is the product of
+    the allowed choice indices: an asked history allows its argmax, any
+    other history allows every choice.
+    """
+    n, radix = len(dom), len(choices)
+    weights = [radix ** (n - 1 - i) for i in range(n)]
+    allowed = [[j * w for j in range(radix)] for w in weights]
+    for h in hs:
+        i = dom.index(h)  # raises TypeMismatch off the source, as `s(h)` would
+        here = top(h)
+        allowed[i] = [j * weights[i] for j, y in enumerate(choices) if y in here]
+    elements = strategies.elements
+    return [elements[sum(digits)] for digits in itertools.product(*allowed)]
+
+
 def unit_game(d: Diset) -> OpenGame:
     return OpenGame(
         d, d, UNIT_SET, lambda _: lens_identity(d), lambda *args: True, label="unit",
@@ -178,7 +217,7 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
     """A single maximizing decision (X, 1) -|> (Y, Q^1) over all functions X -> Y."""
     if len(y) == 0:
         raise EmptyChoiceSet("decision needs a nonempty choice set")
-    strategies = make_set(enumerate_functions(x, y, bound))
+    strategies = _derived_set(tuple(enumerate_functions(x, y, bound)))
     src = Diset(x, UNIT_SET)
     dst = Diset(y, Payoff(1))
 
@@ -191,7 +230,7 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
 
     def states(hs, k):
         top = _argmax(y, k)
-        return [s for s in strategies if all(s(h) in top for h in hs)]
+        return _product_states(strategies, x, y, hs, lambda h: top)
 
     def responses(h, k, s):
         top = _argmax(y, k)
@@ -218,14 +257,15 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
     out = nested_product(sets)
     src = Diset(hist, Payoff(n - 1))
     dst = Diset(out, Payoff(n))
-    strategies = make_set(enumerate_functions(hist, last, bound))
+    strategies = _derived_set(tuple(enumerate_functions(hist, last, bound)))
     drop = USecond(MapTree(Payoff(n), Payoff(n - 1), leaf((), take=tuple(range(n - 1)))))
 
     def play(s):
         if n == 1:
             view = s
         else:
-            view = total_fn(hist, out, lambda x: (x, s(x)))
+            # `s` is a table over `hist` into `last`, so each pair lies in `out`.
+            view = _derived_fn(hist, out, tuple(zip(hist.elements, s.values)))
         return Lens(src, dst, view, drop)
 
     def extend(h, choice):
@@ -239,8 +279,7 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
         return _argmax(last, lambda alt: k(extend(h, alt))[n - 1])
 
     def states(hs, k):
-        tops = {h: top(h, k) for h in hs}
-        return [s for s in strategies if all(s(h) in tops[h] for h in hs)]
+        return _product_states(strategies, hist, last, hs, lambda h: top(h, k))
 
     def responses(h, k, s):
         here = top(h, k)
@@ -260,16 +299,19 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
         s, t = st
         return lens_compose(g.play(s), h.play(t))
 
+    def transport(st, k):
+        return g.transport(st[0], h.transport(st[1], k))
+
     def best(hist, k, st, st2):
         (s, t), (s2, t2) = st, st2
-        k_inner = apply_continuation(h.play(t), k)
+        k_inner = h.transport(t, k)
         if not g.best(hist, k_inner, s, s2):
             return False
         return h.best(g.play(s).view(hist), k, t, t2)
 
     def responses(hist, k, st):
         s, t = st
-        firsts = g.responses(hist, apply_continuation(h.play(t), k), s)
+        firsts = g.responses(hist, h.transport(t, k), s)
         if not firsts:
             return ()
         return tuple(itertools.product(firsts, h.responses(g.play(s).view(hist), k, t)))
@@ -286,13 +328,13 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
             for t in ts:
                 ss = firsts.get(t)
                 if ss is None:
-                    ss = firsts[t] = set(g.states(hists, apply_continuation(h.play(t), k)))
+                    ss = firsts[t] = set(g.states(hists, h.transport(t, k)))
                 if s in ss:
                     out.append((s, t))
         return out
 
     return OpenGame(g.src, h.dst, strategies, play, best, label="seq", states=states,
-                    responses=responses)
+                    responses=responses, transport=transport)
 
 
 def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -415,7 +457,7 @@ def product_games(games) -> OpenGame:
             per_child.append(
                 g.states(mine, branch_continuation(k, j, g.dst)) if mine else g.strategies
             )
-        return list(flat_product(per_child))
+        return list(itertools.product(*per_child))
 
     return OpenGame(src, dst, strategies, play, best, label="product", states=states,
                     responses=responses)

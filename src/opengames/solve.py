@@ -32,7 +32,6 @@ from .finite import (
     flatten_value,
     format_value,
     nest_value,
-    total_fn,
     value_to_json,
 )
 from .games import copy_decision, decision
@@ -110,8 +109,11 @@ def _chain_profile(profile, n):
 
 
 def _flatten_stage_strategy(sigma: TotalFn, dom, choices):
-    """Rebase a stage strategy from nested histories onto the plain tuples `dom`."""
-    return total_fn(dom, choices, lambda xs: sigma(nest_value(xs)))
+    """Rebase a stage strategy from nested histories onto the plain tuples `dom`.
+
+    `sigma` is a strategy of the stage, so every value it reads lies in `choices`.
+    """
+    return _derived_fn(dom, choices, tuple(sigma(nest_value(xs)) for xs in dom))
 
 
 def sequential_profiles(sq: SequentialGame, nested_profiles):

@@ -191,6 +191,16 @@ def test_payoff_row_errors():
     with pytest.raises(DocumentTypeError) as e:
         parse_document("(set M (C))\n(payoff P (M) 2\n  ((C) -> (1)))\n")
     assert "expected 2 rationals" in e.value.message
+    # Rows over three sets are reported flat, as written, not as nested pairs.
+    head = "(set A (a0 a1))\n(set B (b0))\n(set C (c0 c1))\n(payoff P (A B C) 3\n"
+    rows = [f"  (({a} b0 {c}) -> (1 2 3))" for a in ("a0", "a1") for c in ("c0", "c1")]
+    with pytest.raises(DocumentTypeError) as e:
+        parse_document(head + "\n".join(rows[:1] + rows[2:]) + ")\n")
+    assert e.value.message == "missing row for (a0 b0 c1)"
+    with pytest.raises(DocumentTypeError) as e:
+        parse_document(head + "\n".join(rows[:2] + rows[1:]) + ")\n")
+    assert e.value.message == "duplicate row for (a0 b0 c1)"
+    assert (e.value.line, e.value.col) == (7, 4)
 
 
 def test_expression_boundary_errors_carry_spans():

@@ -382,6 +382,85 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
     assert built and max(built.values()) == 1
 
 
+def _staged(rng, moves):
+    from opengames.sampling import random_fraction
+
+    sets = [make_set([f"{'abc'[i]}{j}" for j in range(m)]) for i, m in enumerate(moves)]
+    table = {p: tuple(random_fraction(rng) for _ in moves) for p in product(*sets)}
+    return sequential_game(sets, lambda p: table[p])
+
+
+def _patch_everywhere(monkeypatch, name, wrap):
+    """Replace `name` in every engine module that binds it."""
+    import sys
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("opengames") and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, wrap(getattr(mod, name)))
+
+
+@pytest.mark.parametrize("moves", [(3, 2, 2), (2, 2, 3)])
+def test_sequential_solves_build_no_composite_play_lens(rng, monkeypatch, moves):
+    """Cuts are pulled back stage by stage, through each stage's own lens."""
+    sq = _staged(rng, moves)
+    composed = []
+
+    def counting(compose):
+        def wrapped(*args):
+            composed.append(args)
+            return compose(*args)
+
+        return wrapped
+
+    _patch_everywhere(monkeypatch, "lens_compose", counting)
+    assert set(nash_sequential(sq)) == set(sequential_nash(sq))
+    assert set(p for p, _ in spe_sequential(sq)) == set(sequential_spe(sq))
+    assert not composed
+
+
+@pytest.mark.parametrize("moves", [(3, 2, 2), (2, 2, 3)])
+def test_build_sequential_expr_hashes_no_strategy(rng, monkeypatch, moves):
+    """Stage and composite strategy sets are distinct by construction; none is rehashed."""
+    from opengames.finite import TotalFn
+
+    sq = _staged(rng, moves)
+    hashed = []
+    table_hash = TotalFn.__hash__
+
+    def hashing(fn):
+        hashed.append(fn)
+        return table_hash(fn)
+
+    monkeypatch.setattr(TotalFn, "__hash__", hashing)
+    build_sequential_expr(sq)
+    assert not hashed
+
+
+def test_nash_sequential_checks_tables_only_in_apply_continuation(rng, monkeypatch):
+    """Stage strategies, play views and flattened profiles are derived tables."""
+    import sys
+
+    import opengames.finite as og_finite
+
+    sq = _staged(rng, (3, 2, 2))
+    outside = []
+    contains = og_finite.carrier_contains
+
+    def scanning(carrier, v):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "apply_continuation":
+            frame = frame.f_back
+        if frame is None:
+            outside.append((carrier, v))
+        return contains(carrier, v)
+
+    monkeypatch.setattr(og_finite, "carrier_contains", scanning)
+    profiles = nash_sequential(sq)
+    monkeypatch.undo()
+    assert set(profiles) == set(sequential_nash(sq))
+    assert not outside, outside[:3]
+
+
 def test_separable_checks_the_continuation_boundary():
     expr = Atom(decision(UNIT_SET, MOVES))
     bad = total_fn(UNIT_SET, Payoff(1), lambda _: (Q(0),))

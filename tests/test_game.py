@@ -1,9 +1,12 @@
 """Open games: atomic builders, composition operators, state computation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opengames.classical import brute_nash, normal_form
 from opengames.errors import EmptyChoiceSet, EnumerationBound, TypeMismatch
@@ -14,6 +17,7 @@ from opengames.finite import (
     Tag,
     UNIT,
     UNIT_SET,
+    _derived_set,
     make_set,
     total_fn,
 )
@@ -38,11 +42,12 @@ from opengames.lenses import (
     Context,
     Diset,
     UNIT_DISET,
+    apply_continuation,
     diset_tensor,
     lens_identity,
     runit_inv_lens,
 )
-from opengames.sampling import random_finite_set, random_game, random_lens
+from opengames.sampling import random_diset, random_finite_set, random_game, random_lens
 
 MOVES = make_set(["C", "D"])
 Q = lambda n: (Fraction(n),)
@@ -350,6 +355,96 @@ def test_responses_match_the_definition_on_random_composites():
                     for s in rng.sample(g.strategies.elements, min(3, len(g.strategies))):
                         expected = tuple(d for d in g.strategies if g.best(h, k, s, d))
                         assert g.responses(h, k, s) == expected, (seed, g, h, s)
+
+
+def _random_reindexed(rng, depth):
+    """A random composite reindexed along its source, target or strategies.
+
+    The reindexed game sits alone, before an atom or after one, so seq
+    transports through a game without a transport of its own.
+    """
+    g = _random_composite(rng, depth)
+    op = rng.choice(["source", "target", "strategies"])
+    if op == "source":
+        g = reindex_source(g, random_lens(rng, random_diset(rng), g.src))
+    elif op == "target":
+        g = reindex_target(g, random_lens(rng, g.dst, random_diset(rng)))
+    else:
+        picks = total_fn(
+            make_set(range(3)), g.strategies, lambda _: rng.choice(g.strategies.elements)
+        )
+        g = reindex_strategies(g, picks)
+    place = rng.choice(["alone", "first", "second"])
+    if place == "first":
+        return seq_compose(g, _random_atom(rng, g.dst))
+    if place == "second":
+        return seq_compose(_random_atom(rng, dst=g.src), g)
+    return g
+
+
+def test_transport_matches_apply_continuation_on_random_trees():
+    """Stage-wise transport equals pulling back along the whole play lens."""
+    for seed in range(200):
+        rng = random.Random(f"transport/{seed}")
+        depth = rng.randint(1, 2)
+        g = _random_composite(rng, depth) if seed % 2 else _random_reindexed(rng, depth)
+        games = [g]
+        if seed % 10 == 0:
+            games += _decision_composites(rng) + _plumbing_games(rng)
+        for g in games:
+            for _ in range(3):
+                k = total_fn(
+                    g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
+                )
+                for s in g.strategies:
+                    assert g.transport(s, k) == apply_continuation(g.play(s), k), (seed, g, s)
+
+
+@given(st.lists(
+    st.one_of(st.integers(), st.text(max_size=3), st.tuples(st.integers(), st.text(max_size=2))),
+    unique=True,
+    max_size=12,
+))
+def test_derived_set_equals_the_checked_set(values):
+    checked, derived = make_set(values), _derived_set(tuple(values))
+    assert derived == checked and checked == derived
+    assert hash(derived) == hash(checked)
+    assert list(derived) == list(checked) and len(derived) == len(checked)
+    assert repr(derived) == repr(checked)
+    for v in values:
+        assert v in derived
+        assert derived.index(v) == checked.index(v)
+    assert ("absent",) not in derived
+    with pytest.raises(TypeMismatch):
+        derived.index(("absent",))
+
+
+def test_decision_states_at_history_subsets_match_the_definition():
+    """Product-built decision states equal filtering every strategy, ties included."""
+    rng = random.Random("decision-states")
+    xs, zs = make_set(["x0", "x1", "x2"]), make_set([0, 1, 2])
+    games = [
+        decision(xs, zs),
+        decision(UNIT_SET, zs),
+        decision(zs, MOVES),
+        copy_decision([MOVES]),
+        copy_decision([MOVES, zs]),
+        copy_decision([zs, MOVES, MOVES]),
+    ]
+    for g in games:
+        histories = g.src.forward.elements
+        for _ in range(6):
+            k = total_fn(
+                g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
+            )
+            for r in range(1, len(histories) + 1):
+                for hs in itertools.combinations(histories, r):
+                    expected = [s for s in g.strategies if all(g.best(h, k, s, s) for h in hs)]
+                    assert g.states(hs, k) == expected, (g, hs)
+                    assert g.states(hs[::-1] + hs[:1], k) == expected, (g, hs)
+            for off in [("off",), (histories[0], "off")]:
+                with pytest.raises(TypeMismatch):
+                    g.states(off, k)
 
 
 def test_product_requires_shared_backward_carriers():
