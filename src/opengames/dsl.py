@@ -55,6 +55,7 @@ from .finite import (
     coproduct_set,
     flatten_value,
     format_value,
+    inj_name,
     make_set,
     nest_value,
     nested_product,
@@ -221,6 +222,17 @@ def _flat_row(values):
     return "(" + " ".join(format_value(v) for v in values) + ")"
 
 
+def _written(v) -> str:
+    """A value in the document's own syntax: `(pair * (inl a))`, `(vec 1 2/3)`."""
+    if isinstance(v, Tag):
+        return f"({inj_name(v.side)} {_written(v.value)})"
+    if isinstance(v, tuple):
+        if all(isinstance(q, Fraction) for q in v):
+            return "(vec" + "".join(f" {q}" for q in v) + ")"
+        return f"(pair {_written(v[0])} {_written(v[1])})"
+    return format_value(v)
+
+
 def _need_list(node, what):
     if node.is_atom:
         raise _err(node, f"expected {what}, found `{node.atom}`")
@@ -335,16 +347,16 @@ class _Analyzer:
                 raise _err(node, "expected a row (value -> value)")
             key = self._value(items[0])
             if key not in fwd:
-                raise _err(items[0], f"{format_value(key)} is not in the domain")
+                raise _err(items[0], f"{format_sexpr(items[0])} is not in the domain")
             if key in table:
-                raise _err(items[0], f"duplicate row for {format_value(key)}")
+                raise _err(items[0], f"duplicate row for {format_sexpr(items[0])}")
             val = self._value(items[2])
             if not carrier_contains(carrier, val):
                 raise _err(items[2], f"{format_value(val)} is outside the {what}")
             table[key] = val
         for x in fwd:
             if x not in table:
-                raise _err(where, f"missing row for {format_value(x)}")
+                raise _err(where, f"missing row for {_written(x)}")
         return total_fn(fwd, carrier, table)
 
     # -- sets, carriers, disets ---------------------------------------------
@@ -423,7 +435,7 @@ class _Analyzer:
             for e, s in zip(lhs, doms):
                 v = self._value(e)
                 if v not in s:
-                    raise _err(e, f"{format_value(v)} is not in the domain")
+                    raise _err(e, f"{format_sexpr(e)} is not in the domain")
                 vals.append(v)
             key = nest_value(tuple(vals))
             if key in table:

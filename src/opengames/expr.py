@@ -121,8 +121,23 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     if continuation.dom != game.dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
     table = _separable(expr, continuation, {})
-    ordered = sorted(table, key=game.strategies.index)
+    ordered = sorted(table, key=lambda profile: _rank(expr, profile))
     return [(profile, table[profile]) for profile in ordered]
+
+
+def _rank(expr, profile):
+    """A key ordering profiles as the composite's strategy set lists them.
+
+    Composite strategy sets are products in lexicographic order, so the
+    tuple of the parts' ranks orders them without indexing the composite.
+    """
+    if isinstance(expr, Atom):
+        return expr.game.strategies.index(profile)
+    if isinstance(expr, Seq):
+        return (_rank(expr.first, profile[0]), _rank(expr.second, profile[1]))
+    if isinstance(expr, Tensor):
+        return (_rank(expr.left, profile[0]), _rank(expr.right, profile[1]))
+    return tuple(_rank(c, p) for c, p in zip(expr.children, profile))
 
 
 def _separable(expr, k, memo):

@@ -62,9 +62,12 @@ class FiniteSet:
     `_derived_set` skips that scan; the engine uses it where the values are
     distinct by construction (products of finite sets, function spaces).
     The index behind `in` and `index` is built on first use either way.
+    A product of finite sets records its `factors`, so that code reading
+    one component of its pairs knows which set that component lies in.
     """
 
     elements: tuple
+    factors = None  # the factor sets, for sets built by `flat_product`
 
     def __post_init__(self):
         idx = {}
@@ -75,12 +78,11 @@ class FiniteSet:
         object.__setattr__(self, "_index", idx)
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
         # Computed on first use only: most sets are never used as keys.
-        return hash((self.elements,))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.elements,))
+        return h
 
     @cached_property
     def _index(self):
@@ -106,10 +108,12 @@ class FiniteSet:
         return "{" + ", ".join(format_value(v) for v in self.elements) + "}"
 
 
-def _derived_set(elements: tuple) -> FiniteSet:
+def _derived_set(elements: tuple, factors=None) -> FiniteSet:
     """A set whose values are known to be distinct; see `FiniteSet`."""
     s = object.__new__(FiniteSet)
     s.__dict__["elements"] = elements
+    if factors is not None:
+        s.__dict__["factors"] = factors
     return s
 
 
@@ -153,7 +157,7 @@ def flat_product(sets) -> FiniteSet:
         raise EnumerationBound(f"{count} tuples exceed bound {DEFAULT_BOUND}")
     tuples = tuple(itertools.product(*sets))
     if all(isinstance(s, FiniteSet) for s in sets):
-        return _derived_set(tuples)
+        return _derived_set(tuples, tuple(sets))
     return FiniteSet(tuples)
 
 
@@ -380,17 +384,20 @@ class TotalFn:
                 raise TypeMismatch(f"value {format_value(v)} outside codomain {self.cod!r}")
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
         # Tables are memo keys on the best-response path, and hashing one
         # hashes every exact payoff in it, so it is done once per table and
         # only for tables that are ever looked up.
-        return hash((self.dom, self.cod, self.values))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.dom, self.cod, self.values))
+        return h
 
     def __call__(self, x):
-        return self.values[self.dom.index(x)]
+        try:
+            i = self.dom._index[x]
+        except KeyError:
+            i = self.dom.index(x)  # raises the error naming the domain
+        return self.values[i]
 
     def __repr__(self):
         return format_fn(self)

@@ -10,12 +10,27 @@ States of seq, tensor and product games are assembled from their parts'
 states.  A decision's states are built as a product, with its argmax
 allowed at each asked history and any choice elsewhere, not by scanning
 its function space; only reindexed games filter every strategy through
-`best`.  In the same way each constructor builds the set of best
-responses to a strategy (`OpenGame.responses`) from its parts' sets: a
-decision keeps the deviations into its argmax, seq and tensor take the
-product of their parts' sets against the cut or factor continuations,
-and a product varies only the tagged child.  Only games built by hand,
-such as `sampling.random_game`, filter every deviation through `best`.
+`best`.
+
+At one context (history, continuation) the best responses form a
+relation on strategies, and each constructor builds it whole
+(`OpenGame.relation`, a table from each strategy to its best responses)
+from its parts' relations: a decision shares one row, the strategies
+into its argmax, among all strategies; seq asks its first game once per
+cut a second-stage strategy leaves and its second game once per history
+handed on; tensor asks each factor once per partner move; a product asks
+only the tagged child.  Only games built by hand, such as
+`sampling.random_game`, filter every deviation through `best`.
+Relations are kept in a memo that the caller creates for one top-level
+check and shares between the games it asks, keyed by game and context,
+so a part met again in either game of a morphism is solved once and
+nothing outlives the check.
+
+Unit games and the games of a lens (`trivial_game`) are strategically
+trivial: one strategy, always a best response.  So are seq, tensor and
+product of trivial games and their reindexed boundaries.  Their relation
+is read off without a continuation or a memo entry, and seq, tensor and
+product build no cut, factor or branch continuation for a trivial part.
 
 A seq game evaluates the continuation at its cut stage by stage
 (`OpenGame.transport`): the second stage's play pulls the continuation
@@ -23,9 +38,8 @@ back, then the first's, so no composite play lens is built on the
 equilibrium paths and each stage lens keeps its own tables.
 
 Tensor factor and product child continuations are kept per call in
-`states`, where the continuation is fixed, so none is hashed or outlives
-the search; `best` and `responses` keep them per game, keyed by
-continuation, since the morphism checks ask again with the same one.
+`states` and `relation` and built afresh by `best`, so no game keeps a
+table per continuation.
 """
 
 from __future__ import annotations
@@ -60,6 +74,8 @@ from .lenses import (
     copair_lenses,
     coproduct_diset,
     diset_tensor,
+    effect_lens,
+    factor_continuation,
     leaf,
     left_context,
     lens_compose,
@@ -68,25 +84,24 @@ from .lenses import (
     lit,
     pair_t,
     right_context,
-    effect_lens,
 )
 
 
 class OpenGame:
     def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, best, label="",
-                 states=None, responses=None, transport=None):
+                 states=None, relation=None, transport=None, trivial=False):
         self.src = src
         self.dst = dst
         self.strategies = strategies
         self._play = play
         self._best = best
         self._states = states
-        self._responses = responses
+        self._relation = relation
         self._transport = transport
+        self.trivial = trivial
         self.label = label
         self._play_cache = {}
         self._best_cache = {}
-        self._responses_cache = {}
 
     def play(self, sigma) -> Lens:
         lens = self._play_cache.get(sigma)
@@ -117,22 +132,39 @@ class OpenGame:
             self._best_cache[key] = hit
         return hit
 
-    def responses(self, history, continuation, sigma) -> tuple:
-        """The deviations `d` with `best(history, continuation, sigma, d)`, in order.
+    def relation(self, history, continuation, memo=None) -> dict:
+        """The best-response relation at one context: each strategy `s` mapped
+        to the deviations `d` with `best(history, continuation, s, d)`, in order.
 
-        A constructor's own `responses` must agree with this definition.
+        A constructor's own `relation` must agree with this definition.  A
+        strategically trivial game relates its one strategy to itself
+        without reading the continuation.  Tables are kept in `memo`, keyed
+        by `(game, history, continuation)`, which the caller creates for
+        one check and shares between the games it asks.
         """
-        key = (history, continuation, sigma)
-        hit = self._responses_cache.get(key)
-        if hit is None:
-            if self._responses is None:
-                hit = tuple(
-                    d for d in self.strategies if self.best(history, continuation, sigma, d)
-                )
+        if self.trivial:
+            return _trivial_relation(self)
+        if memo is None:
+            memo = {}
+        key = (self, history, continuation)
+        table = memo.get(key)
+        if table is None:
+            if self._relation is None:
+                table = {
+                    s: tuple(d for d in self.strategies if self.best(history, continuation, s, d))
+                    for s in self.strategies
+                }
             else:
-                hit = self._responses(history, continuation, sigma)
-            self._responses_cache[key] = hit
-        return hit
+                table = self._relation(history, continuation, memo)
+            memo[key] = table
+        return table
+
+    def responses(self, history, continuation, sigma) -> tuple:
+        """The deviations `d` with `best(history, continuation, sigma, d)`, in order."""
+        row = self.relation(history, continuation).get(sigma)
+        if row is None:
+            raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}")
+        return row
 
     def states(self, histories, k) -> list:
         """Strategies that best-respond to themselves at all `histories`, in order.
@@ -147,6 +179,11 @@ class OpenGame:
     def __repr__(self):
         name = self.label or "OpenGame"
         return f"{name}({self.src!r} -|> {self.dst!r}, |S|={len(self.strategies)})"
+
+
+def _trivial_relation(game: OpenGame) -> dict:
+    """A strategically trivial game's relation, the same at every context."""
+    return {s: (s,) for s in game.strategies}
 
 
 def best_response(game: OpenGame, c: Context, sigma, deviation) -> bool:
@@ -195,7 +232,7 @@ def _product_states(strategies: FiniteSet, dom: FiniteSet, choices: FiniteSet, h
 def unit_game(d: Diset) -> OpenGame:
     return OpenGame(
         d, d, UNIT_SET, lambda _: lens_identity(d), lambda *args: True, label="unit",
-        states=lambda hs, k: [UNIT], responses=lambda *args: (UNIT,),
+        states=lambda hs, k: [UNIT], trivial=True,
     )
 
 
@@ -203,7 +240,7 @@ def trivial_game(lens: Lens, label="trivial") -> OpenGame:
     """A strategically trivial game: one strategy, always best."""
     return OpenGame(
         lens.dom, lens.cod, UNIT_SET, lambda _: lens, lambda *args: True, label=label,
-        states=lambda hs, k: [UNIT], responses=lambda *args: (UNIT,),
+        states=lambda hs, k: [UNIT], trivial=True,
     )
 
 
@@ -232,12 +269,12 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
         top = _argmax(y, k)
         return _product_states(strategies, x, y, hs, lambda h: top)
 
-    def responses(h, k, s):
-        top = _argmax(y, k)
-        return tuple(d for d in strategies if d(h) in top)
+    def relation(h, k, memo):
+        # Every strategy has the same best responses: those into the argmax at h.
+        return dict.fromkeys(strategies, tuple(states((h,), k)))
 
     return OpenGame(src, dst, strategies, play, best, label="decision", states=states,
-                    responses=responses)
+                    relation=relation)
 
 
 def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
@@ -281,12 +318,11 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
     def states(hs, k):
         return _product_states(strategies, hist, last, hs, lambda h: top(h, k))
 
-    def responses(h, k, s):
-        here = top(h, k)
-        return tuple(d for d in strategies if d(h) in here)
+    def relation(h, k, memo):
+        return dict.fromkeys(strategies, tuple(states((h,), k)))
 
     return OpenGame(src, dst, strategies, play, best, label="copy-decision", states=states,
-                    responses=responses)
+                    relation=relation)
 
 
 def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
@@ -309,12 +345,22 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
             return False
         return h.best(g.play(s).view(hist), k, t, t2)
 
-    def responses(hist, k, st):
-        s, t = st
-        firsts = g.responses(hist, h.transport(t, k), s)
-        if not firsts:
-            return ()
-        return tuple(itertools.product(firsts, h.responses(g.play(s).view(hist), k, t)))
+    def relation(hist, k, memo):
+        # g is judged against the cut each second-stage strategy leaves, h at
+        # the history each first-stage strategy hands on; a trivial g needs no cut.
+        if g.trivial:
+            cuts = dict.fromkeys(h.strategies, _trivial_relation(g))
+        else:
+            cuts = {t: g.relation(hist, h.transport(t, k), memo) for t in h.strategies}
+        out = {}
+        for s in g.strategies:
+            seconds = None  # h's relation, asked once some first stage best-responds
+            for t in h.strategies:
+                firsts = cuts[t][s]
+                if firsts and seconds is None:
+                    seconds = h.relation(g.play(s).view(hist), k, memo)
+                out[(s, t)] = tuple(itertools.product(firsts, seconds[t])) if firsts else ()
+        return out
 
     def states(hists, k):
         seconds = {}  # histories reached by a first-stage strategy -> h's states there
@@ -334,7 +380,7 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
         return out
 
     return OpenGame(g.src, h.dst, strategies, play, best, label="seq", states=states,
-                    responses=responses, transport=transport)
+                    relation=relation, transport=transport, trivial=g.trivial and h.trivial)
 
 
 def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -349,32 +395,38 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
         build = right_context if side else left_context
         return build(partner, Context(hist, k), (g1, g2)[side].dst).continuation
 
-    # A factor's continuation depends on the joint continuation and on the
-    # partner's move only, so many partner strategies share one table.
-    # This per-game table serves `best`/`responses`; `states` keeps its own.
-    factor_ks = {}  # (side, k, partner move) -> that factor's continuation
-
-    def factor_k(side, hist, k, partner):
-        key = (side, k, partner.view(hist[1 - side]))
-        kf = factor_ks.get(key)
-        if kf is None:
-            kf = factor_ks[key] = context_k(side, hist, k, partner)
-        return kf
-
     def best(hist, k, ss, dd):
         (s1, s2), (d1, d2) = ss, dd
-        if not g1.best(hist[0], factor_k(0, hist, k, g2.play(s2)), s1, d1):
+        if not g1.best(hist[0], context_k(0, hist, k, g2.play(s2)), s1, d1):
             return False
-        return g2.best(hist[1], factor_k(1, hist, k, g1.play(s1)), s2, d2)
+        return g2.best(hist[1], context_k(1, hist, k, g1.play(s1)), s2, d2)
 
-    def responses(hist, k, ss):
-        s1, s2 = ss
-        lefts = g1.responses(hist[0], factor_k(0, hist, k, g2.play(s2)), s1)
-        if not lefts:
-            return ()
-        return tuple(
-            itertools.product(lefts, g2.responses(hist[1], factor_k(1, hist, k, g1.play(s1)), s2))
-        )
+    def relation(hist, k, memo):
+        # A factor's continuation depends on the partner's move only, so
+        # partner strategies making the same move share one relation.
+        by_move = {}  # (side, partner move) -> that factor's relation
+
+        def factor(side, partner):
+            own, other = (g1, g2)[side], (g1, g2)[1 - side]
+            if own.trivial:
+                return _trivial_relation(own)
+            move = other.play(partner).view(hist[1 - side])
+            rel = by_move.get((side, move))
+            if rel is None:
+                kf = factor_continuation(k, side, move, own.dst)
+                rel = by_move[(side, move)] = own.relation(hist[side], kf, memo)
+            return rel
+
+        lefts = {s2: factor(0, s2) for s2 in g2.strategies}
+        out = {}
+        for s1 in g1.strategies:
+            right = None  # g2's relation, asked once some left response exists
+            for s2 in g2.strategies:
+                firsts = lefts[s2][s1]
+                if firsts and right is None:
+                    right = factor(1, s1)
+                out[(s1, s2)] = tuple(itertools.product(firsts, right[s2])) if firsts else ()
+        return out
 
     def states(hists, k):
         kfs = {}  # (side, partner move) -> that factor's continuation under k
@@ -412,7 +464,7 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
         return out
 
     return OpenGame(src, dst, strategies, play, best, label="tensor", states=states,
-                    responses=responses)
+                    relation=relation, trivial=g1.trivial and g2.trivial)
 
 
 def product_games(games) -> OpenGame:
@@ -429,24 +481,25 @@ def product_games(games) -> OpenGame:
             [lens_compose(g.play(sigma[j]), injections[j]) for j, g in enumerate(games)]
         )
 
-    factor_ks = {}  # (j, k) -> continuation of factor j, for `best` and `responses`
-
-    def factor_k(j, k):
-        kj = factor_ks.get((j, k))
-        if kj is None:
-            kj = factor_ks[(j, k)] = branch_continuation(k, j, games[j].dst)
-        return kj
-
     def best(hist, k, sigma, dev):
         j = hist.side
-        return games[j].best(hist.value, factor_k(j, k), sigma[j], dev[j])
+        kj = branch_continuation(k, j, games[j].dst)
+        return games[j].best(hist.value, kj, sigma[j], dev[j])
 
-    def responses(hist, k, sigma):
+    def relation(hist, k, memo):
         # Only the tagged child is played, so every other child may deviate freely.
         j = hist.side
+        child = games[j]
+        if child.trivial:
+            tagged = _trivial_relation(child)
+        else:
+            tagged = child.relation(hist.value, branch_continuation(k, j, child.dst), memo)
         per_child = [g.strategies for g in games]
-        per_child[j] = games[j].responses(hist.value, factor_k(j, k), sigma[j])
-        return tuple(itertools.product(*per_child))
+        rows = {}  # child j's strategy -> the row of every profile playing it
+        for sj, firsts in tagged.items():
+            per_child[j] = firsts
+            rows[sj] = tuple(itertools.product(*per_child))
+        return {sigma: rows[sigma[j]] for sigma in strategies}
 
     def states(hists, k):
         # Only the tagged branch counts, so the product of each child's
@@ -460,7 +513,7 @@ def product_games(games) -> OpenGame:
         return list(itertools.product(*per_child))
 
     return OpenGame(src, dst, strategies, play, best, label="product", states=states,
-                    responses=responses)
+                    relation=relation, trivial=all(g.trivial for g in games))
 
 
 def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
@@ -474,7 +527,8 @@ def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
         lambda s: lens_compose(lens, g.play(s)),
         lambda h, k, s, s2: g.best(lens.view(h), k, s, s2),
         label=g.label,
-        responses=lambda h, k, s: g.responses(lens.view(h), k, s),
+        relation=lambda h, k, memo: g.relation(lens.view(h), k, memo),
+        trivial=g.trivial,
     )
 
 
@@ -489,7 +543,8 @@ def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
         lambda s: lens_compose(g.play(s), lens),
         lambda h, k, s, s2: g.best(h, apply_continuation(lens, k), s, s2),
         label=g.label,
-        responses=lambda h, k, s: g.responses(h, apply_continuation(lens, k), s),
+        relation=lambda h, k, memo: g.relation(h, apply_continuation(lens, k), memo),
+        trivial=g.trivial,
     )
 
 
@@ -498,9 +553,17 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
     if f.cod != g.strategies:
         raise TypeMismatch("reindexing function must land in the strategy set")
 
-    def responses(h, k, s):
-        kept = set(g.responses(h, k, f(s)))
-        return tuple(d for d in f.dom if f(d) in kept)
+    def relation(h, k, memo):
+        inner = g.relation(h, k, memo)
+        rows = {}  # a strategy of g -> the strategies mapped into its responses
+        out = {}
+        for s in f.dom:
+            t = f(s)
+            if t not in rows:
+                kept = set(inner[t])
+                rows[t] = tuple(d for d in f.dom if f(d) in kept)
+            out[s] = rows[t]
+        return out
 
     return OpenGame(
         g.src,
@@ -509,7 +572,7 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
         lambda s: g.play(f(s)),
         lambda h, k, s, s2: g.best(h, k, f(s), f(s2)),
         label=g.label,
-        responses=responses,
+        relation=relation,
     )
 
 

@@ -252,6 +252,8 @@ SANCTIONED = {"UTable", "UProj2", "UConst", "USecond", "UComp", "UTensor", "UCas
 class Lens:
     """A lens between disets: a view table plus a symbolic update."""
 
+    is_identity = False  # set by `lens_identity`
+
     def __init__(self, dom: Diset, cod: Diset, view: TotalFn, update: Update):
         if view.dom != dom.forward or view.cod != cod.forward:
             raise TypeMismatch("view does not match lens boundary")
@@ -269,7 +271,9 @@ class Lens:
 
 
 def lens_identity(d: Diset) -> Lens:
-    return Lens(d, d, identity_fn(d.forward), UProj2())
+    lens = Lens(d, d, identity_fn(d.forward), UProj2())
+    lens.is_identity = True
+    return lens
 
 
 def lens_compose(first: Lens, second: Lens) -> Lens:
@@ -329,7 +333,13 @@ def lens_to_continuation(l: Lens) -> TotalFn:
 
 
 def apply_continuation(l: Lens, k: TotalFn) -> TotalFn:
-    """Transport a continuation on the codomain back along a lens."""
+    """Transport a continuation on the codomain back along a lens.
+
+    Along an identity lens that is `k` itself, when `k` already lands in
+    the backward carrier; otherwise the table is rebuilt and checked.
+    """
+    if l.is_identity and k.cod == l.cod.backward and k.dom == l.cod.forward:
+        return k
     cached = l._cont_cache.get(k)
     if cached is not None:
         return cached
@@ -453,14 +463,16 @@ class Context:
 def factor_continuation(k: TotalFn, side: int, partner_move, dst: Diset) -> TotalFn:
     """Component `side` of `k` with the partner's move plugged in.
 
-    Values are checked unless `k.cod` is a pair carrier with that component.
+    Values are checked unless `k.cod` is a pair carrier or a product of
+    finite sets whose component `side` is `dst.backward`.
     """
     if side == 0:
         vals = tuple(k((y, partner_move))[0] for y in dst.forward)
     else:
         vals = tuple(k((partner_move, y))[1] for y in dst.forward)
     cod = k.cod
-    derived = isinstance(cod, PairCarrier) and (cod.fst, cod.snd)[side] == dst.backward
+    parts = (cod.fst, cod.snd) if isinstance(cod, PairCarrier) else getattr(cod, "factors", None)
+    derived = parts is not None and len(parts) == 2 and parts[side] == dst.backward
     return (_derived_fn if derived else TotalFn)(dst.forward, dst.backward, vals)
 
 

@@ -109,11 +109,14 @@ def check_morphism(
     Axiom 2 ranges over histories of the target source boundary and over
     continuations of the source game's target: all of them when the
     backward carrier is enumerable, otherwise the probe set plus any
-    caller-supplied `continuations`.  For each strategy `s` it takes the
-    source game's best responses to `s` once, and the target game's to
-    the image of `s` only when there are any; every deviation must map
-    into the latter.  Returns the first failing witness, the same
-    `(s, s2, h, k)` a test of every pair in canonical order finds first.
+    caller-supplied `continuations`.  At each context it builds the
+    source game's best-response relation once, and the target game's
+    only when some strategy has a best response; every deviation from `s`
+    must map into the target's responses to the image of `s`.  Both games
+    share one memo of relations for the whole check, so a part that
+    recurs in either game at the same context is solved once.  Returns
+    the first failing witness, the same `(s, s2, h, k)` a test of every
+    pair in canonical order finds first.
     """
     g, g2 = m.source_game, m.target_game
     for s in g.strategies:
@@ -122,17 +125,23 @@ def check_morphism(
         if not lenses_equal(left, right, bound):
             return MorphismCheck(False, 1, (s,))
     ks = _continuations(g.dst, continuations, bound)
+    image = dict(zip(m.sigma_map.dom, m.sigma_map.values))
+    memo = {}
     for h in g2.src.forward:
         h_up = m.s_lens.view(h)
         for k in ks:
             k_down = apply_continuation(m.t_lens, k)
+            source = g.relation(h_up, k, memo)
+            target = None
             for s in g.strategies:
-                deviations = g.responses(h_up, k, s)
+                deviations = source[s]
                 if not deviations:
                     continue
-                kept = set(g2.responses(h, k_down, m.sigma_map(s)))
+                if target is None:
+                    target = g2.relation(h, k_down, memo)
+                kept = set(target[image[s]])
                 for s2 in deviations:
-                    if m.sigma_map(s2) not in kept:
+                    if image[s2] not in kept:
                         return MorphismCheck(False, 2, (s, s2, h, k))
     return MorphismCheck(True)
 
@@ -268,6 +277,8 @@ def find_globular_iso(
     (plus any supplied continuations, which must live on the target
     boundary) in both directions: at each context the image of g1's set
     of best responses to `s` must be g2's set for the image of `s`.
+    Relations do not depend on the candidate bijection, so one memo of
+    them is shared by both games across every candidate of the search.
     Returns the isomorphism as a globular GameMorphism, or None.
     """
     if g1.src != g2.src or g1.dst != g2.dst:
@@ -306,14 +317,14 @@ def find_globular_iso(
 
     ks = _continuations(g1.dst, continuations, bound)
     contexts = [(h, k) for h in g1.src.forward for k in ks]
+    memo = {}
 
     def preserves(mapping):
         # `mapping` is a bijection, so equal sets mean every pair agrees.
         for (h, k) in contexts:
+            r1, r2 = g1.relation(h, k, memo), g2.relation(h, k, memo)
             for s in g1.strategies:
-                if {mapping[d] for d in g1.responses(h, k, s)} != set(
-                    g2.responses(h, k, mapping[s])
-                ):
+                if {mapping[d] for d in r1[s]} != set(r2[mapping[s]]):
                     return False
         return True
 

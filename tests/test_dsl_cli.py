@@ -219,6 +219,32 @@ def test_continuation_errors():
     assert "outside the backward carrier" in e.value.message
 
 
+def test_row_errors_print_values_as_written():
+    """Continuation and effect rows name their values in the document's own syntax."""
+    market = bundled_document_text()
+    row = "  ((pair * (pair F F)) -> (pair (vec -3) (pair (vec -3) (vec -1))))\n"
+    assert row in market
+    cases = [
+        (market.replace(row, ""), "missing row for (pair * (pair F F))"),
+        (market.replace("((pair * (pair F A)) ->", "((pair * (pair F F)) ->"),
+         "duplicate row for (pair * (pair F F))"),
+        (market.replace("((pair * (pair F A)) ->", "((pair * (pair F Z)) ->"),
+         "(pair * (pair F Z)) is not in the domain"),
+        (CHAIN_DOC.replace("  ((pair D D) -> (vec 1 1)))", ")"), "missing row for (pair D D)"),
+    ]
+    sums = "(set MOVE (C D))\n(set S (sum unit MOVE))\n(lens E (effect (diset S (real 1))\n"
+    rows = ["  ((inl *) -> (vec 0))", "  ((inr C) -> (vec 1))", "  ((inr D) -> (vec 2/3))"]
+    cases += [
+        (sums + "\n".join(rows[1:]) + "))\n", "missing row for (inl *)"),
+        (sums + "\n".join(rows + ["  ((vec 1 2/3) -> (vec 0))"]) + "))\n",
+         "(vec 1 2/3) is not in the domain"),
+    ]
+    for text, message in cases:
+        with pytest.raises(DocumentTypeError) as e:
+            parse_document(text)
+        assert e.value.message == message
+
+
 def test_market_document_round_trips():
     text = bundled_document_text()
     doc = parse_document(text)

@@ -495,3 +495,28 @@ def test_certificate_json_truncates_big_tables():
     assert isinstance(body["cut"], list)
     tiny = certificate_to_json(cert, max_table=1)
     assert tiny["cut"] == {"size": 2}
+
+
+def test_separable_profiles_come_in_composite_strategy_order(rng):
+    """Ranks from the expression's parts order profiles as the composite lists them."""
+    moves, xs = make_set(["C", "D"]), make_set(["x0", "x1"])
+    chain = Seq(Atom(copy_decision([moves])), Seq(Atom(copy_decision([moves, moves])),
+                                                  Atom(copy_decision([moves, moves, moves]))))
+    split = Product((
+        Tensor(Atom(decision(xs, moves)), Atom(decision(UNIT_SET, moves))),
+        Tensor(Atom(decision(UNIT_SET, moves)), Atom(decision(moves, moves))),
+    ))
+
+    def value(carrier, tie):
+        if isinstance(carrier, Payoff):
+            return tuple(Fraction(0 if tie else rng.randint(0, 1)) for _ in range(carrier.dim))
+        return (value(carrier.fst, tie), value(carrier.snd, tie))
+
+    for expr in (chain, split):
+        game = eval_expr(expr)
+        for tie in (True, False):
+            back = game.dst.backward
+            k = total_fn(game.dst.forward, back, lambda _: value(back, tie))
+            got = [p for p, _ in separable_states_over(expr, k)]
+            assert len(got) > 1
+            assert got == sorted(got, key=game.strategies.index)

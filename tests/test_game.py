@@ -44,6 +44,7 @@ from opengames.lenses import (
     UNIT_DISET,
     apply_continuation,
     diset_tensor,
+    factor_continuation,
     lens_identity,
     runit_inv_lens,
 )
@@ -357,6 +358,110 @@ def test_responses_match_the_definition_on_random_composites():
                         assert g.responses(h, k, s) == expected, (seed, g, h, s)
 
 
+def _tree_leaf(rng, src, dst, seen):
+    """A random atom, a one-strategy random game, or a unit or trivial game."""
+    leaf = rng.choice(["atom", "one", "trivial", "unit"])
+    if leaf == "unit" and src == dst:
+        seen.add("unit")
+        return unit_game(src), True
+    if leaf in ("trivial", "unit"):
+        seen.add("trivial")
+        return trivial_game(random_lens(rng, src, dst)), True
+    if leaf == "one":
+        seen.add("one")
+        kind = rng.choice(["argmax", "hash"])
+        return random_game(rng, src, dst, max_strategies=1, kind=kind), False
+    return _random_atom(rng, src, dst), False
+
+
+def _fit(rng, g, trivial, src, dst):
+    """Reindex `g` onto the boundaries asked for, when they are fixed."""
+    if src is not None and g.src != src:
+        g = reindex_source(g, random_lens(rng, src, g.src))
+    if dst is not None and g.dst != dst:
+        g = reindex_target(g, random_lens(rng, g.dst, dst))
+    return g, trivial
+
+
+def _random_tree(rng, depth, seen, src=None, dst=None):
+    """A random game tree with its expected `trivial` flag.
+
+    Leaves are random atoms, one-strategy random games and unit or trivial
+    games; inner nodes are seq, tensor, product and the three reindexings.
+    A tree is trivial exactly when it is built from unit and trivial games
+    by seq, tensor, product and reindexing of its boundaries.
+    """
+    if depth == 0:
+        src = src if src is not None else random_diset(rng)
+        dst = dst if dst is not None else (src if rng.random() < 0.3 else random_diset(rng))
+        return _tree_leaf(rng, src, dst, seen)
+    op = rng.choice(["seq", "tensor", "product", "strategies"])
+    seen.add(op)
+    if op == "seq":
+        g, tg = _random_tree(rng, depth - 1, seen, src)
+        h, th = _random_tree(rng, depth - 1, seen, g.dst, dst)
+        return seq_compose(g, h), tg and th
+    if op == "tensor":
+        (g, tg), (h, th) = (_random_tree(rng, depth - 1, seen) for _ in range(2))
+        return _fit(rng, tensor_games(g, h), tg and th, src, dst)
+    if op == "product":
+        back_src, back_dst = random_finite_set(rng, prefix="s"), random_finite_set(rng, prefix="r")
+        children = [
+            _random_tree(
+                rng, depth - 1, seen,
+                Diset(random_finite_set(rng, prefix=f"x{j}"), back_src),
+                Diset(random_finite_set(rng, prefix=f"y{j}"), back_dst),
+            )
+            for j in range(rng.randint(1, 3))
+        ]
+        out = product_games([c for c, _ in children])
+        return _fit(rng, out, all(t for _, t in children), src, dst)
+    g, _ = _random_tree(rng, depth - 1, seen, src, dst)
+    picks = total_fn(make_set(range(3)), g.strategies, lambda _: rng.choice(g.strategies.elements))
+    return reindex_strategies(g, picks), False
+
+
+def test_relation_matches_the_definition_on_random_trees():
+    """Each constructor's relation equals filtering every pair through `best`.
+
+    Keys, their order and the order inside each tuple must all agree, with
+    one memo shared across every context of a tree, as a check shares it.
+    """
+    seen = set()
+    trivial_trees = 0
+    for seed in range(160):
+        rng = random.Random(f"relation/{seed}")
+        g, trivial = _random_tree(rng, rng.randint(1, 3), seen)
+        assert g.trivial == trivial, (seed, g)
+        trivial_trees += trivial
+        memo = {}
+        for _ in range(2):
+            k = total_fn(
+                g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
+            )
+            for h in g.src.forward:
+                expected = {
+                    s: tuple(d for d in g.strategies if g.best(h, k, s, d)) for s in g.strategies
+                }
+                for got in (g.relation(h, k, memo), g.relation(h, k)):
+                    assert got == expected, (seed, g, h)
+                    assert list(got) == list(g.strategies), (seed, g, h)
+    assert seen >= {"seq", "tensor", "product", "strategies", "unit", "trivial", "one"}, seen
+    assert trivial_trees > 5, trivial_trees
+
+
+def test_responses_are_rows_of_the_relation():
+    g = tensor_games(decision(MOVES, MOVES), unit_game(Diset(MOVES, UNIT_SET)))
+    rng = random.Random(3)
+    k = total_fn(g.dst.forward, g.dst.backward, lambda _: (_random_value(rng, Payoff(1)), UNIT))
+    for h in g.src.forward:
+        table = g.relation(h, k)
+        for s in g.strategies:
+            assert g.responses(h, k, s) == table[s]
+    with pytest.raises(TypeMismatch):
+        g.responses(("C", "C"), k, "not a strategy")
+
+
 def _random_reindexed(rng, depth):
     """A random composite reindexed along its source, target or strategies.
 
@@ -529,8 +634,93 @@ def test_tensor_states_keep_no_continuation_tables():
     finally:
         tracemalloc.stop()
     assert retained < 0.1 * 2**20, retained
-    factor_k = inspect.getclosurevars(g._responses).nonlocals["factor_k"]
-    assert inspect.getclosurevars(factor_k).nonlocals["factor_ks"] == {}
+    # No table of factor continuations or relations lives on the game.
+    assert not any(isinstance(v, dict) and v for v in vars(g).values() if v is not g._play_cache)
+    for rule in (g._best, g._relation, g._states):
+        assert not any(isinstance(v, dict) for v in inspect.getclosurevars(rule).nonlocals.values())
+
+
+def test_relations_keep_no_tables_across_calls():
+    """The responses path leaves nothing behind once a call returns."""
+    import gc
+    import tracemalloc
+
+    from opengames.sampling import random_fraction
+
+    moves = make_set(["a", "b", "c", "d"])
+    g = tensor_games(decision(UNIT_SET, moves), decision(UNIT_SET, moves))
+    rng = random.Random(400)
+
+    def fresh():
+        return total_fn(
+            g.dst.forward,
+            g.dst.backward,
+            lambda _: ((random_fraction(rng),), (random_fraction(rng),)),
+        )
+
+    def ask(k):
+        for h in g.src.forward:
+            g.relation(h, k)
+            g.responses(h, k, g.strategies.elements[0])
+
+    ask(fresh())  # fills the play caches, bounded by the strategies
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(400):
+            ask(fresh())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20, retained
+
+
+def test_tensor_relation_builds_one_factor_continuation_per_partner_move(monkeypatch):
+    """Partner strategies making the same move share one factor continuation."""
+    import opengames.games as og_games
+
+    built = []
+
+    def recording(k, side, move, dst):
+        built.append((side, move))
+        return factor_continuation(k, side, move, dst)
+
+    monkeypatch.setattr(og_games, "factor_continuation", recording)
+    xs = make_set(["x0", "x1"])
+    g = tensor_games(decision(xs, MOVES), decision(xs, MOVES))  # four strategies a side
+    k = total_fn(g.dst.forward, g.dst.backward, lambda y: (Q(y[0] == "C"), Q(y[1] == "D")))
+    for h in g.src.forward:
+        built.clear()
+        g.relation(h, k)
+        assert sorted(built) == [(0, "C"), (0, "D"), (1, "C"), (1, "D")], (h, built)
+    # A trivial factor needs no continuation at all.
+    g = tensor_games(trivial_game(lens_identity(Diset(xs, Payoff(1)))), decision(xs, MOVES))
+    k = total_fn(g.dst.forward, g.dst.backward, lambda y: (Q(0), Q(y[1] == "D")))
+    built.clear()
+    g.relation(("x0", "x1"), k)
+    assert sorted(built) == [(1, "x0")], built
+
+
+def test_seq_relation_builds_no_cut_for_a_trivial_first_stage(monkeypatch):
+    rng = random.Random(8)
+    chooser = decision(MOVES, MOVES)
+    xs = make_set(["x0", "x1", "x2"])
+    g = seq_compose(trivial_game(random_lens(rng, Diset(xs, UNIT_SET), chooser.src)), chooser)
+    assert not g.trivial
+    k = total_fn(g.dst.forward, g.dst.backward, lambda y: Q(y == "D"))
+    expected = {
+        h: {s: tuple(d for d in g.strategies if g.best(h, k, s, d)) for s in g.strategies}
+        for h in g.src.forward
+    }
+
+    def no_cut(*args):
+        raise AssertionError("a cut was built for a trivial first stage")
+
+    monkeypatch.setattr(OpenGame, "transport", no_cut)
+    for h in g.src.forward:
+        assert g.relation(h, k) == expected[h]
 
 
 def test_composite_copy_decision_shares_boundaries():

@@ -342,3 +342,45 @@ def test_default_continuations_bound_and_order():
     assert ks[0].values == ("r", "r")
     with pytest.raises(EnumerationBound):
         default_continuations(d, bound=3)
+
+
+# ---------- tables that need no rebuild ----------
+
+
+def test_identity_lens_hands_a_continuation_back_unchanged():
+    d = Diset(make_set(["C", "D"]), Payoff(1))
+    k = total_fn(d.forward, Payoff(1), lambda y: (Fraction(y == "C"),))
+    assert apply_continuation(lens_identity(d), k) is k
+    # A continuation into another carrier is rebuilt on the backward carrier and checked.
+    bits = make_set([(Fraction(0),), (Fraction(1),)])
+    narrow = total_fn(d.forward, bits, lambda y: (Fraction(y == "C"),))
+    pulled = apply_continuation(lens_identity(d), narrow)
+    assert pulled is not narrow and pulled == k
+    seven = total_fn(d.forward, Payoff(1), lambda y: (Fraction(7),))
+    with pytest.raises(TypeMismatch):
+        apply_continuation(lens_identity(Diset(d.forward, bits)), seven)
+    with pytest.raises(TypeMismatch):
+        apply_continuation(lens_identity(d), total_fn(UNIT_SET, Payoff(1), lambda _: (Fraction(0),)))
+
+
+def test_factor_tables_of_finite_products_are_not_checked_again(monkeypatch):
+    import opengames.finite as og_finite
+
+    scans = []
+    contains = og_finite.carrier_contains
+
+    def scanning(carrier, v):
+        scans.append(v)
+        return contains(carrier, v)
+
+    f = Diset(make_set(["C", "D"]), make_set(["r", "s"]))
+    joint = diset_tensor(f, f)
+    k = total_fn(joint.forward, joint.backward, lambda y: ("r", "s") if "C" in y else ("s", "r"))
+    monkeypatch.setattr(og_finite, "carrier_contains", scanning)
+    for project in (left_context, right_context):
+        assert project(lens_identity(f), Context(("C", "D"), k), f).continuation.cod == f.backward
+    assert scans == []
+    # A factor that is not the asked carrier is still checked value by value.
+    with pytest.raises(TypeMismatch):
+        left_context(lens_identity(f), Context(("C", "D"), k), Diset(f.forward, make_set(["r"])))
+    assert scans

@@ -7,7 +7,7 @@ import pytest
 
 from opengames.errors import BoundaryMismatch, EnumerationBound, NotAState, TypeMismatch
 from opengames.finite import Payoff, UNIT, UNIT_SET, make_set, total_fn
-from opengames.cells import interchange_cell, seq_assoc_cell
+from opengames.cells import interchange_cell, seq_assoc_cell, unit_split_cell
 from opengames.games import (
     OpenGame,
     copy_decision,
@@ -335,7 +335,7 @@ def test_supplied_continuations_are_validated_and_deduplicated(monkeypatch):
     with pytest.raises(TypeMismatch, match="target boundary"):
         find_globular_iso(g, g, continuations=[wrong])
     k = total_fn(g.dst.forward, Payoff(1), {"X": Q(3), "Y": Q(5), "Z": Q(5)})
-    calls = _count_calls(monkeypatch, "responses")
+    calls = _count_calls(monkeypatch, "relation")
     counts = []
     for supplied in (None, [k], [k, k, k]):
         calls.clear()
@@ -406,3 +406,46 @@ def test_axiom_two_witness_is_the_first_failing_pair():
         assert report.witness == expected, seed
         failures += expected is not None
     assert failures >= 20
+
+
+# ---------- relations per context, one memo per check ----------
+
+
+def test_one_memo_tells_the_games_of_a_check_apart():
+    """Two games with the same boundaries, strategies and plays but other preferences."""
+    g = decision(UNIT_SET, make_set(["X", "Y", "Z"]))
+    lax = OpenGame(g.src, g.dst, g.strategies, g.play, lambda *args: True, label="lax")
+    same = total_fn(g.strategies, g.strategies, lambda s: s)
+    legs = (lens_identity(g.src), lens_identity(g.dst))
+    loose = GameMorphism(lax, g, *legs, same)
+    expected = _pairwise_axiom_two(loose)
+    assert expected is not None
+    report = check_morphism(loose)
+    assert (report.axiom, report.witness) == (2, expected)
+    assert check_morphism(GameMorphism(g, lax, *legs, same))
+    assert find_globular_iso(lax, g) is None
+    assert find_globular_iso(g, g) is not None
+
+
+def test_unit_split_checks_build_no_factor_continuation(monkeypatch):
+    """Unit games are strategically trivial, so no factor table is ever read."""
+    import opengames.expr as og_expr
+    import opengames.games as og_games
+    import opengames.lenses as og_lenses
+
+    built = []
+    original = og_lenses.factor_continuation
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    for module in (og_lenses, og_games, og_expr):
+        monkeypatch.setattr(module, "factor_continuation", recording, raising=False)
+    d1 = Diset(make_set(["a", "b"]), make_set(["r", "s"]))
+    d2 = Diset(make_set(["x"]), Payoff(1))
+    cells = [unit_split_cell(d1, d2, inverse=inverse) for inverse in (False, True)]
+    for cell in cells:
+        assert check_morphism(cell)
+    assert built == []
+    assert all(c.source_game.trivial and c.target_game.trivial for c in cells)
