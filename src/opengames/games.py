@@ -1,30 +1,27 @@
 """Open games: lens-valued plays indexed by strategies plus a best-response relation.
 
 A game from diset Phi to diset Psi carries a finite strategy set, a play
-lens Phi -> Psi for each strategy, and a boolean best-response evaluator
-over contexts (history, continuation).  Composites evaluate best
-responses lazily by recursion on structure, with memoization; their
-strategy sets are products whose elements mirror the expression shape.
+lens Phi -> Psi for each strategy, and one best-response rule: at a
+context (history, continuation) its relation maps each strategy to its
+best responses (`OpenGame.relation`).  `best` is membership in a row of
+that relation, and `responses` is the row itself.  Composite strategy
+sets are products whose elements mirror the expression shape.
 
-States of seq, tensor and product games are assembled from their parts'
-states.  A decision's states are built as a product, with its argmax
-allowed at each asked history and any choice elsewhere, not by scanning
-its function space; only reindexed games filter every strategy through
-`best`.
-
-At one context (history, continuation) the best responses form a
-relation on strategies, and each constructor builds it whole
-(`OpenGame.relation`, a table from each strategy to its best responses)
-from its parts' relations: a decision shares one row, the strategies
-into its argmax, among all strategies; seq asks its first game once per
-cut a second-stage strategy leaves and its second game once per history
-handed on; tensor asks each factor once per partner move; a product asks
-only the tagged child.  Only games built by hand, such as
-`sampling.random_game`, filter every deviation through `best`.
+Each constructor builds its relation from its parts' relations: a
+decision shares one row, the strategies into its argmax, among all
+strategies; seq asks its first game once per cut a second-stage strategy
+leaves and its second game once per history handed on; tensor asks each
+factor once per partner move; a product asks only the tagged child.
 Relations are kept in a memo that the caller creates for one top-level
 check and shares between the games it asks, keyed by game and context,
 so a part met again in either game of a morphism is solved once and
 nothing outlives the check.
+
+States of seq, tensor and product games are assembled from their parts'
+states.  A decision's states are built as a product, with its argmax
+allowed at each asked history and any choice elsewhere, not by scanning
+its function space; only games without a `states` rule of their own,
+such as the reindexed ones, filter every strategy through their relation.
 
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
@@ -38,8 +35,7 @@ back, then the first's, so no composite play lens is built on the
 equilibrium paths and each stage lens keeps its own tables.
 
 Tensor factor and product child continuations are kept per call in
-`states` and `relation` and built afresh by `best`, so no game keeps a
-table per continuation.
+`states` and `relation`, so no game keeps a table per continuation.
 """
 
 from __future__ import annotations
@@ -77,31 +73,27 @@ from .lenses import (
     effect_lens,
     factor_continuation,
     leaf,
-    left_context,
     lens_compose,
     lens_identity,
     lens_tensor,
     lit,
     pair_t,
-    right_context,
 )
 
 
 class OpenGame:
-    def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, best, label="",
-                 states=None, relation=None, transport=None, trivial=False):
+    def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, relation, label="",
+                 states=None, transport=None, trivial=False):
         self.src = src
         self.dst = dst
         self.strategies = strategies
         self._play = play
-        self._best = best
-        self._states = states
         self._relation = relation
+        self._states = states
         self._transport = transport
         self.trivial = trivial
         self.label = label
         self._play_cache = {}
-        self._best_cache = {}
 
     def play(self, sigma) -> Lens:
         lens = self._play_cache.get(sigma)
@@ -125,22 +117,17 @@ class OpenGame:
         return self._transport(sigma, k)
 
     def best(self, history, continuation, sigma, deviation) -> bool:
-        key = (history, continuation, sigma, deviation)
-        hit = self._best_cache.get(key)
-        if hit is None:
-            hit = self._best(history, continuation, sigma, deviation)
-            self._best_cache[key] = hit
-        return hit
+        """Whether `deviation` is a best response to `sigma` at the context."""
+        return deviation in self.responses(history, continuation, sigma)
 
     def relation(self, history, continuation, memo=None) -> dict:
-        """The best-response relation at one context: each strategy `s` mapped
-        to the deviations `d` with `best(history, continuation, s, d)`, in order.
+        """The best-response relation at one context: each strategy mapped to
+        its best responses, both in strategy order.
 
-        A constructor's own `relation` must agree with this definition.  A
-        strategically trivial game relates its one strategy to itself
-        without reading the continuation.  Tables are kept in `memo`, keyed
-        by `(game, history, continuation)`, which the caller creates for
-        one check and shares between the games it asks.
+        A strategically trivial game relates its one strategy to itself
+        without reading the continuation or its rule.  Tables are kept in
+        `memo`, keyed by `(game, history, continuation)`, which the caller
+        creates for one check and shares between the games it asks.
         """
         if self.trivial:
             return _trivial_relation(self)
@@ -149,18 +136,11 @@ class OpenGame:
         key = (self, history, continuation)
         table = memo.get(key)
         if table is None:
-            if self._relation is None:
-                table = {
-                    s: tuple(d for d in self.strategies if self.best(history, continuation, s, d))
-                    for s in self.strategies
-                }
-            else:
-                table = self._relation(history, continuation, memo)
-            memo[key] = table
+            table = memo[key] = self._relation(history, continuation, memo)
         return table
 
     def responses(self, history, continuation, sigma) -> tuple:
-        """The deviations `d` with `best(history, continuation, sigma, d)`, in order."""
+        """The best responses to `sigma` at one context, in order."""
         row = self.relation(history, continuation).get(sigma)
         if row is None:
             raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}")
@@ -173,7 +153,11 @@ class OpenGame:
         """
         histories = tuple(histories)
         if self._states is None or not histories:
-            return [s for s in self.strategies if all(self.best(h, k, s, s) for h in histories)]
+            memo = {}
+            return [
+                s for s in self.strategies
+                if all(s in self.relation(h, k, memo)[s] for h in histories)
+            ]
         return self._states(histories, k)
 
     def __repr__(self):
@@ -186,19 +170,34 @@ def _trivial_relation(game: OpenGame) -> dict:
     return {s: (s,) for s in game.strategies}
 
 
+def _row_product(built: dict, firsts: tuple, seconds: tuple) -> tuple:
+    """The pairs of two rows, built once per pair of row objects in one relation.
+
+    Parts share rows between strategies, so pairs recur; `built` holds both
+    rows, which keeps their ids unique while it lives.
+    """
+    key = (id(firsts), id(seconds))
+    hit = built.get(key)
+    if hit is None:
+        hit = built[key] = (firsts, seconds, tuple(itertools.product(firsts, seconds)))
+    return hit[2]
+
+
 def best_response(game: OpenGame, c: Context, sigma, deviation) -> bool:
     """Public evaluator with boundary checks."""
     if c.history not in game.src.forward:
         raise TypeMismatch("history outside the source boundary")
     if c.continuation.dom != game.dst.forward:
         raise TypeMismatch("continuation does not match the target boundary")
+    if deviation not in game.strategies:
+        raise TypeMismatch(f"not a strategy of {game.label or 'game'}: {deviation!r}")
     return game.best(c.history, c.continuation, sigma, deviation)
 
 
 def game_states(game: OpenGame, k: TotalFn):
     """Strategies that best-respond to themselves at every history, in canonical order.
 
-    Assembled per combinator; equal to filtering every strategy through `best`.
+    Assembled per combinator; equal to keeping each `s` with `best(h, k, s, s)` at every `h`.
     """
     return game.states(game.src.forward, k)
 
@@ -230,16 +229,13 @@ def _product_states(strategies: FiniteSet, dom: FiniteSet, choices: FiniteSet, h
 
 
 def unit_game(d: Diset) -> OpenGame:
-    return OpenGame(
-        d, d, UNIT_SET, lambda _: lens_identity(d), lambda *args: True, label="unit",
-        states=lambda hs, k: [UNIT], trivial=True,
-    )
+    return trivial_game(lens_identity(d), label="unit")
 
 
 def trivial_game(lens: Lens, label="trivial") -> OpenGame:
     """A strategically trivial game: one strategy, always best."""
     return OpenGame(
-        lens.dom, lens.cod, UNIT_SET, lambda _: lens, lambda *args: True, label=label,
+        lens.dom, lens.cod, UNIT_SET, lambda _: lens, None, label=label,
         states=lambda hs, k: [UNIT], trivial=True,
     )
 
@@ -261,10 +257,6 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
     def play(s):
         return Lens(src, dst, s, UConst(UNIT))
 
-    def best(h, k, s, s2):
-        chosen = k(s2(h))
-        return all(chosen >= k(alt) for alt in y)
-
     def states(hs, k):
         top = _argmax(y, k)
         return _product_states(strategies, x, y, hs, lambda h: top)
@@ -273,8 +265,7 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
         # Every strategy has the same best responses: those into the argmax at h.
         return dict.fromkeys(strategies, tuple(states((h,), k)))
 
-    return OpenGame(src, dst, strategies, play, best, label="decision", states=states,
-                    relation=relation)
+    return OpenGame(src, dst, strategies, play, relation, label="decision", states=states)
 
 
 def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
@@ -308,10 +299,6 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
     def extend(h, choice):
         return choice if n == 1 else (h, choice)
 
-    def best(h, k, s, s2):
-        own = k(extend(h, s2(h)))[n - 1]
-        return all(own >= k(extend(h, alt))[n - 1] for alt in last)
-
     def top(h, k):
         return _argmax(last, lambda alt: k(extend(h, alt))[n - 1])
 
@@ -321,8 +308,7 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
     def relation(h, k, memo):
         return dict.fromkeys(strategies, tuple(states((h,), k)))
 
-    return OpenGame(src, dst, strategies, play, best, label="copy-decision", states=states,
-                    relation=relation)
+    return OpenGame(src, dst, strategies, play, relation, label="copy-decision", states=states)
 
 
 def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
@@ -338,13 +324,6 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
     def transport(st, k):
         return g.transport(st[0], h.transport(st[1], k))
 
-    def best(hist, k, st, st2):
-        (s, t), (s2, t2) = st, st2
-        k_inner = h.transport(t, k)
-        if not g.best(hist, k_inner, s, s2):
-            return False
-        return h.best(g.play(s).view(hist), k, t, t2)
-
     def relation(hist, k, memo):
         # g is judged against the cut each second-stage strategy leaves, h at
         # the history each first-stage strategy hands on; a trivial g needs no cut.
@@ -352,14 +331,14 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
             cuts = dict.fromkeys(h.strategies, _trivial_relation(g))
         else:
             cuts = {t: g.relation(hist, h.transport(t, k), memo) for t in h.strategies}
-        out = {}
+        out, built = {}, {}
         for s in g.strategies:
             seconds = None  # h's relation, asked once some first stage best-responds
             for t in h.strategies:
                 firsts = cuts[t][s]
                 if firsts and seconds is None:
                     seconds = h.relation(g.play(s).view(hist), k, memo)
-                out[(s, t)] = tuple(itertools.product(firsts, seconds[t])) if firsts else ()
+                out[(s, t)] = _row_product(built, firsts, seconds[t]) if firsts else ()
         return out
 
     def states(hists, k):
@@ -379,8 +358,8 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
                     out.append((s, t))
         return out
 
-    return OpenGame(g.src, h.dst, strategies, play, best, label="seq", states=states,
-                    relation=relation, transport=transport, trivial=g.trivial and h.trivial)
+    return OpenGame(g.src, h.dst, strategies, play, relation, label="seq", states=states,
+                    transport=transport, trivial=g.trivial and h.trivial)
 
 
 def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -390,16 +369,6 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
 
     def play(ss):
         return lens_tensor(g1.play(ss[0]), g2.play(ss[1]))
-
-    def context_k(side, hist, k, partner):
-        build = right_context if side else left_context
-        return build(partner, Context(hist, k), (g1, g2)[side].dst).continuation
-
-    def best(hist, k, ss, dd):
-        (s1, s2), (d1, d2) = ss, dd
-        if not g1.best(hist[0], context_k(0, hist, k, g2.play(s2)), s1, d1):
-            return False
-        return g2.best(hist[1], context_k(1, hist, k, g1.play(s1)), s2, d2)
 
     def relation(hist, k, memo):
         # A factor's continuation depends on the partner's move only, so
@@ -418,14 +387,14 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
             return rel
 
         lefts = {s2: factor(0, s2) for s2 in g2.strategies}
-        out = {}
+        out, built = {}, {}
         for s1 in g1.strategies:
             right = None  # g2's relation, asked once some left response exists
             for s2 in g2.strategies:
                 firsts = lefts[s2][s1]
                 if firsts and right is None:
                     right = factor(1, s1)
-                out[(s1, s2)] = tuple(itertools.product(firsts, right[s2])) if firsts else ()
+                out[(s1, s2)] = _row_product(built, firsts, right[s2]) if firsts else ()
         return out
 
     def states(hists, k):
@@ -433,7 +402,7 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
         found = {}  # (side, own history, partner move) -> that factor's states
 
         def needs(side, partner):  # the sets one factor must lie in
-            sets = []
+            own, sets = (g1, g2)[side], []
             for hist in hists:
                 move = partner.view(hist[1 - side])
                 key = (side, hist[side], move)
@@ -441,8 +410,8 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
                 if got is None:
                     kf = kfs.get((side, move))
                     if kf is None:
-                        kf = kfs[(side, move)] = context_k(side, hist, k, partner)
-                    got = found[key] = set((g1, g2)[side].states((hist[side],), kf))
+                        kf = kfs[(side, move)] = factor_continuation(k, side, move, own.dst)
+                    got = found[key] = set(own.states((hist[side],), kf))
                 sets.append(got)
             return sets
 
@@ -463,8 +432,8 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
                     out.append((s1, s2))
         return out
 
-    return OpenGame(src, dst, strategies, play, best, label="tensor", states=states,
-                    relation=relation, trivial=g1.trivial and g2.trivial)
+    return OpenGame(src, dst, strategies, play, relation, label="tensor", states=states,
+                    trivial=g1.trivial and g2.trivial)
 
 
 def product_games(games) -> OpenGame:
@@ -480,11 +449,6 @@ def product_games(games) -> OpenGame:
         return copair_lenses(
             [lens_compose(g.play(sigma[j]), injections[j]) for j, g in enumerate(games)]
         )
-
-    def best(hist, k, sigma, dev):
-        j = hist.side
-        kj = branch_continuation(k, j, games[j].dst)
-        return games[j].best(hist.value, kj, sigma[j], dev[j])
 
     def relation(hist, k, memo):
         # Only the tagged child is played, so every other child may deviate freely.
@@ -512,8 +476,8 @@ def product_games(games) -> OpenGame:
             )
         return list(itertools.product(*per_child))
 
-    return OpenGame(src, dst, strategies, play, best, label="product", states=states,
-                    relation=relation, trivial=all(g.trivial for g in games))
+    return OpenGame(src, dst, strategies, play, relation, label="product", states=states,
+                    trivial=all(g.trivial for g in games))
 
 
 def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
@@ -525,9 +489,8 @@ def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
         g.dst,
         g.strategies,
         lambda s: lens_compose(lens, g.play(s)),
-        lambda h, k, s, s2: g.best(lens.view(h), k, s, s2),
+        lambda h, k, memo: g.relation(lens.view(h), k, memo),
         label=g.label,
-        relation=lambda h, k, memo: g.relation(lens.view(h), k, memo),
         trivial=g.trivial,
     )
 
@@ -541,9 +504,8 @@ def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
         lens.cod,
         g.strategies,
         lambda s: lens_compose(g.play(s), lens),
-        lambda h, k, s, s2: g.best(h, apply_continuation(lens, k), s, s2),
+        lambda h, k, memo: g.relation(h, apply_continuation(lens, k), memo),
         label=g.label,
-        relation=lambda h, k, memo: g.relation(h, apply_continuation(lens, k), memo),
         trivial=g.trivial,
     )
 
@@ -555,24 +517,15 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
 
     def relation(h, k, memo):
         inner = g.relation(h, k, memo)
-        rows = {}  # a strategy of g -> the strategies mapped into its responses
-        out = {}
-        for s in f.dom:
-            t = f(s)
-            if t not in rows:
-                kept = set(inner[t])
-                rows[t] = tuple(d for d in f.dom if f(d) in kept)
-            out[s] = rows[t]
-        return out
+        return {s: tuple(d for d in f.dom if f(d) in inner[f(s)]) for s in f.dom}
 
     return OpenGame(
         g.src,
         g.dst,
         f.dom,
         lambda s: g.play(f(s)),
-        lambda h, k, s, s2: g.best(h, k, f(s), f(s2)),
+        relation,
         label=g.label,
-        relation=relation,
     )
 
 

@@ -113,19 +113,23 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
 
     if kind == "argmax":
 
-        def best(h, k, s, s2):
-            rank = dst.backward.index
-            score = rank(k(plays[s2].view(h)))
-            return all(score >= rank(k(plays[s3].view(h))) for s3 in strategies)
+        def relation(h, k, memo):
+            # The rule ignores the current strategy, so every row is the same.
+            scores = {s: dst.backward.index(k(plays[s].view(h))) for s in strategies}
+            top = max(scores.values())
+            return dict.fromkeys(strategies, tuple(s for s in strategies if scores[s] >= top))
 
     else:
-        salt = label
 
-        def best(h, k, s, s2):
-            return _digest_even(salt, format_value(h), format_fn(k),
-                                format_value(s), format_value(s2))
+        def relation(h, k, memo):
+            at = (label, format_value(h), format_fn(k))
+            return {
+                s: tuple(d for d in strategies
+                         if _digest_even(*at, format_value(s), format_value(d)))
+                for s in strategies
+            }
 
-    return OpenGame(src, dst, strategies, play, best, label)
+    return OpenGame(src, dst, strategies, play, relation, label)
 
 
 def random_shared_boundary_games(rng, count: int, max_strategies=3, max_size=2,

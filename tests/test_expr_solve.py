@@ -255,16 +255,13 @@ def test_factor_continuations_are_built_once(rng, monkeypatch):
     from opengames.sampling import random_fraction
 
     built = []
+    build = og_games.factor_continuation
 
-    def recording(side, build):
-        def wrapped(partner, c, dst):
-            built.append((side, c.continuation, partner.view(c.history[1 - side])))
-            return build(partner, c, dst)
+    def recording(k, side, move, dst):
+        built.append((side, k, move))
+        return build(k, side, move, dst)
 
-        return wrapped
-
-    monkeypatch.setattr(og_games, "left_context", recording(0, og_games.left_context))
-    monkeypatch.setattr(og_games, "right_context", recording(1, og_games.right_context))
+    monkeypatch.setattr(og_games, "factor_continuation", recording)
 
     moves = make_set(["a", "b", "c", "d"])
     nf = normal_form([moves] * 3, lambda p: tuple(random_fraction(rng) for _ in range(3)))
@@ -360,19 +357,17 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
             hashed.append(fn.cod)
         return table_hash(fn)
 
-    def recording(side, build):
-        def wrapped(partner, c, dst):
-            seen.append(c.continuation)  # keeps each id unique while counting
-            key = (id(c.continuation), side, partner.view(c.history[1 - side]))
-            built[key] = built.get(key, 0) + 1
-            return build(partner, c, dst)
+    build = og_games.factor_continuation
 
-        return wrapped
+    def recording(k, side, move, dst):
+        seen.append(k)  # keeps each id unique while counting
+        key = (id(k), side, move)
+        built[key] = built.get(key, 0) + 1
+        return build(k, side, move, dst)
 
     monkeypatch.setattr(og_finite, "carrier_contains", scanning)
     monkeypatch.setattr(TotalFn, "__hash__", hashing)
-    monkeypatch.setattr(og_games, "left_context", recording(0, og_games.left_context))
-    monkeypatch.setattr(og_games, "right_context", recording(1, og_games.right_context))
+    monkeypatch.setattr(og_games, "factor_continuation", recording)
     profiles = states_over(expr, k)
     monkeypatch.undo()
 

@@ -1,5 +1,7 @@
 """Open games: atomic builders, composition operators, state computation."""
 
+import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +20,8 @@ from opengames.finite import (
     UNIT,
     UNIT_SET,
     _derived_set,
+    format_fn,
+    format_value,
     make_set,
     total_fn,
 )
@@ -43,9 +47,12 @@ from opengames.lenses import (
     Diset,
     UNIT_DISET,
     apply_continuation,
+    branch_continuation,
     diset_tensor,
     factor_continuation,
+    left_context,
     lens_identity,
+    right_context,
     runit_inv_lens,
 )
 from opengames.sampling import random_diset, random_finite_set, random_game, random_lens
@@ -227,19 +234,166 @@ def test_tensor_best_with_histories_matches_the_definition():
                 lambda y2: k((s1(h1), y2))[1], d2(h2)
             )
 
+        memo = {}
         for h in g.src.forward:
-            for s in g.strategies:
-                for d in g.strategies:
-                    assert g.best(h, k, s, d) == best(h, s, d)
+            expected = {s: tuple(d for d in g.strategies if best(h, s, d)) for s in g.strategies}
+            assert g.relation(h, k, memo) == expected
         expected = [
             s for s in g.strategies if all(best(h, s, s) for h in g.src.forward)
         ]
         assert game_states(g, k) == expected
 
 
-def _definition_states(g, k):
-    """States by the definition: every strategy filtered through `best`."""
-    return [s for s in g.strategies if all(g.best(h, k, s, s) for h in g.src.forward)]
+# ---------- reference best responses ----------
+#
+# Each constructor's best-response predicate best(h, k, s, d), written
+# pairwise from its definition.  References read plays, views and
+# continuation builders only, never a game's `best`, `relation`,
+# `responses` or `states`, so the differential tests below check the
+# engine against something other than itself.  The builders return each
+# game together with its reference.  Atoms cache their answers and
+# composites the continuations they build, as both recur below a composite.
+
+
+def _always(h, k, s, d):
+    """Unit and trivial games: the one strategy is always a best response."""
+    return True
+
+
+def _decision_best(y):
+    """decision(x, y): `d` plays into the argmax of `k` at `h`."""
+
+    @functools.cache
+    def best(h, k, s, d):
+        return all(k(d(h)) >= k(alt) for alt in y)
+
+    return best
+
+
+def _copy_decision_best(sets):
+    """copy_decision(sets): `d` maximizes the last payoff coordinate at `h`."""
+    n, last = len(sets), sets[-1]
+
+    def own(h, k, choice):
+        return k(choice if n == 1 else (h, choice))[n - 1]
+
+    @functools.cache
+    def best(h, k, s, d):
+        return all(own(h, k, d(h)) >= own(h, k, alt) for alt in last)
+
+    return best
+
+
+def _atom_best(g, kind):
+    """`random_game`'s rule: the top rank of where `k` lands, or an md5 coin per pair."""
+    if kind == "argmax":
+
+        def score(h, k, t):
+            return g.dst.backward.index(k(g.play(t).view(h)))
+
+        def best(h, k, s, d):
+            return all(score(h, k, d) >= score(h, k, t) for t in g.strategies)
+
+    else:
+
+        def best(h, k, s, d):
+            text = "|".join((g.label, format_value(h), format_fn(k), format_value(s), format_value(d)))
+            return int(hashlib.md5(text.encode()).hexdigest(), 16) % 2 == 0
+
+    return functools.cache(best)
+
+
+def _seq_best(g, gb, h, hb):
+    """seq: g against the cut h's strategy leaves, h at the history g hands on."""
+
+    @functools.cache
+    def cut(t, k):
+        return apply_continuation(h.play(t), k)
+
+    def best(hist, k, st, dd):
+        (s, t), (s2, t2) = st, dd
+        return gb(hist, cut(t, k), s, s2) and hb(g.play(s).view(hist), k, t, t2)
+
+    return best
+
+
+def _tensor_best(g1, b1, g2, b2):
+    """tensor: each factor against the context its partner's play leaves."""
+
+    @functools.cache
+    def left(hist, k, s2):
+        return left_context(g2.play(s2), Context(hist, k), g1.dst)
+
+    @functools.cache
+    def right(hist, k, s1):
+        return right_context(g1.play(s1), Context(hist, k), g2.dst)
+
+    def best(hist, k, ss, dd):
+        (s1, s2), (d1, d2) = ss, dd
+        c1 = left(hist, k, s2)
+        if not b1(c1.history, c1.continuation, s1, d1):
+            return False
+        c2 = right(hist, k, s1)
+        return b2(c2.history, c2.continuation, s2, d2)
+
+    return best
+
+
+def _product_best(games, bests):
+    """product: only the tagged child is judged, against its branch of `k`."""
+
+    @functools.cache
+    def branch(k, j):
+        return branch_continuation(k, j, games[j].dst)
+
+    def best(hist, k, sigma, dev):
+        j = hist.side
+        return bests[j](hist.value, branch(k, j), sigma[j], dev[j])
+
+    return best
+
+
+def _decision(x, y):
+    return decision(x, y), _decision_best(y)
+
+
+def _copy_decision(sets):
+    return copy_decision(sets), _copy_decision_best(sets)
+
+
+def _seq(first, second):
+    (g, gb), (h, hb) = first, second
+    return seq_compose(g, h), _seq_best(g, gb, h, hb)
+
+
+def _tensor(left, right):
+    (g1, b1), (g2, b2) = left, right
+    return tensor_games(g1, g2), _tensor_best(g1, b1, g2, b2)
+
+
+def _product(children):
+    games, bests = zip(*children)
+    return product_games(games), _product_best(games, bests)
+
+
+def _reindex_source(pair, lens):
+    g, gb = pair
+    return reindex_source(g, lens), lambda h, k, s, d: gb(lens.view(h), k, s, d)
+
+
+def _reindex_target(pair, lens):
+    g, gb = pair
+    return reindex_target(g, lens), lambda h, k, s, d: gb(h, apply_continuation(lens, k), s, d)
+
+
+def _reindex_strategies(pair, f):
+    g, gb = pair
+    return reindex_strategies(g, f), lambda h, k, s, d: gb(h, k, f(s), f(d))
+
+
+def _definition_states(g, best, k):
+    """States by the definition: every strategy filtered through the reference."""
+    return [s for s in g.strategies if all(best(h, k, s, s) for h in g.src.forward)]
 
 
 def _random_value(rng, carrier):
@@ -251,8 +405,10 @@ def _random_value(rng, carrier):
     return (_random_value(rng, carrier.fst), _random_value(rng, carrier.snd))
 
 
-def _random_atom(rng, src=None, dst=None):
-    return random_game(rng, src, dst, kind=rng.choice(["argmax", "hash"]))
+def _random_atom(rng, src=None, dst=None, max_strategies=3):
+    kind = rng.choice(["argmax", "hash"])
+    g = random_game(rng, src, dst, max_strategies=max_strategies, kind=kind)
+    return g, _atom_best(g, kind)
 
 
 def _random_composite(rng, depth, src=None):
@@ -260,15 +416,16 @@ def _random_composite(rng, depth, src=None):
 
     With `src` given, a tensor or product is reached through a random atom,
     so it is asked only at the histories that atom's strategies reach.
+    Returns the game with its reference best response.
     """
     if depth == 0:
         return _random_atom(rng, src)
     op = rng.choice(["seq", "tensor", "product"])
     if op == "seq":
-        g = _random_composite(rng, depth - 1, src)
-        return seq_compose(g, _random_composite(rng, depth - 1, g.dst))
+        first = _random_composite(rng, depth - 1, src)
+        return _seq(first, _random_composite(rng, depth - 1, first[0].dst))
     if op == "tensor":
-        out = tensor_games(_random_composite(rng, depth - 1), _random_composite(rng, depth - 1))
+        out = _tensor(_random_composite(rng, depth - 1), _random_composite(rng, depth - 1))
     else:
         back_src, back_dst = random_finite_set(rng, prefix="s"), random_finite_set(rng, prefix="r")
         children = []
@@ -277,39 +434,39 @@ def _random_composite(rng, depth, src=None):
             y = Diset(random_finite_set(rng, prefix=f"y{j}"), back_dst)
             if depth > 1 and rng.random() < 0.5:
                 first = _random_atom(rng, x)
-                children.append(seq_compose(first, _random_atom(rng, first.dst, y)))
+                children.append(_seq(first, _random_atom(rng, first[0].dst, y)))
             else:
                 children.append(_random_atom(rng, x, y))
-        out = product_games(children)
+        out = _product(children)
     if src is None:
         return out
-    return seq_compose(_random_atom(rng, src, out.src), out)
+    return _seq(_random_atom(rng, src, out[0].src), out)
 
 
 def _decision_composites(rng):
     """Decisions and copy decisions at several histories, alone and composed."""
     xs, ys, zs = make_set(["x0", "x1", "x2"]), MOVES, make_set([0, 1, 2])
-    chain = seq_compose(
-        copy_decision([ys]), seq_compose(copy_decision([ys, ys]), copy_decision([ys, ys, ys]))
+    chain = _seq(
+        _copy_decision([ys]), _seq(_copy_decision([ys, ys]), _copy_decision([ys, ys, ys]))
     )
-    pair = tensor_games(decision(xs, ys), decision(ys, ys))
+    pair = _tensor(_decision(xs, ys), _decision(ys, ys))
     subset = total_fn(
-        make_set(range(4)), pair.strategies, lambda _: rng.choice(pair.strategies.elements)
+        make_set(range(4)), pair[0].strategies, lambda _: rng.choice(pair[0].strategies.elements)
     )
-    moved = reindex_source(decision(xs, zs), random_lens(rng, Diset(zs, UNIT_SET),
-                                                         Diset(xs, UNIT_SET)))
+    moved = _reindex_source(_decision(xs, zs), random_lens(rng, Diset(zs, UNIT_SET),
+                                                           Diset(xs, UNIT_SET)))
     return [
-        decision(xs, zs),
-        copy_decision([ys, zs, ys]),
+        _decision(xs, zs),
+        _copy_decision([ys, zs, ys]),
         chain,
         pair,
-        tensor_games(pair, _random_atom(rng)),
+        _tensor(pair, _random_atom(rng)),
         # A seq in front: the tensor is asked at the non-product subsets reached.
-        seq_compose(_random_atom(rng, dst=pair.src), pair),
-        product_games([decision(xs, ys), decision(zs, ys), decision(UNIT_SET, zs)]),
-        reindex_strategies(pair, subset),
+        _seq(_random_atom(rng, dst=pair[0].src), pair),
+        _product([_decision(xs, ys), _decision(zs, ys), _decision(UNIT_SET, zs)]),
+        _reindex_strategies(pair, subset),
         moved,
-        tensor_games(moved, decision(UNIT_SET, ys)),
+        _tensor(moved, _decision(UNIT_SET, ys)),
     ]
 
 
@@ -319,12 +476,12 @@ def test_states_match_the_definition_on_random_composites():
         games = [_random_composite(rng, rng.randint(1, 2))]
         if seed % 10 == 0:
             games += _decision_composites(rng)
-        for g in games:
+        for g, best in games:
             for _ in range(3):
                 k = total_fn(
                     g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
                 )
-                assert game_states(g, k) == _definition_states(g, k), (seed, g)
+                assert game_states(g, k) == _definition_states(g, best, k), (seed, g)
 
 
 def _plumbing_games(rng):
@@ -332,29 +489,29 @@ def _plumbing_games(rng):
     xs, ys = make_set(["x0", "x1", "x2"]), make_set(["y0", "y1"])
     atom = _random_atom(rng)
     return [
-        unit_game(Diset(xs, Payoff(1))),
-        trivial_game(random_lens(rng, Diset(xs, ys), Diset(ys, xs))),
-        reindex_target(atom, random_lens(rng, atom.dst, Diset(xs, ys))),
-        reindex_target(decision(xs, ys), runit_inv_lens(Diset(ys, Payoff(1)))),
-        seq_compose(unit_game(Diset(ys, UNIT_SET)), decision(ys, xs)),
+        (unit_game(Diset(xs, Payoff(1))), _always),
+        (trivial_game(random_lens(rng, Diset(xs, ys), Diset(ys, xs))), _always),
+        _reindex_target(atom, random_lens(rng, atom[0].dst, Diset(xs, ys))),
+        _reindex_target(_decision(xs, ys), runit_inv_lens(Diset(ys, Payoff(1)))),
+        _seq((unit_game(Diset(ys, UNIT_SET)), _always), _decision(ys, xs)),
     ]
 
 
 def test_responses_match_the_definition_on_random_composites():
-    """Each constructor's best-response set equals filtering every deviation through `best`."""
+    """Each constructor's best-response set equals filtering every deviation by the reference."""
     for seed in range(150):
         rng = random.Random(f"responses/{seed}")
         games = [_random_composite(rng, rng.randint(1, 2))]
         if seed % 10 == 0:
             games += _decision_composites(rng) + _plumbing_games(rng)
-        for g in games:
+        for g, best in games:
             for _ in range(2):
                 k = total_fn(
                     g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
                 )
                 for h in g.src.forward:
                     for s in rng.sample(g.strategies.elements, min(3, len(g.strategies))):
-                        expected = tuple(d for d in g.strategies if g.best(h, k, s, d))
+                        expected = tuple(d for d in g.strategies if best(h, k, s, d))
                         assert g.responses(h, k, s) == expected, (seed, g, h, s)
 
 
@@ -363,28 +520,27 @@ def _tree_leaf(rng, src, dst, seen):
     leaf = rng.choice(["atom", "one", "trivial", "unit"])
     if leaf == "unit" and src == dst:
         seen.add("unit")
-        return unit_game(src), True
+        return (unit_game(src), _always), True
     if leaf in ("trivial", "unit"):
         seen.add("trivial")
-        return trivial_game(random_lens(rng, src, dst)), True
+        return (trivial_game(random_lens(rng, src, dst)), _always), True
     if leaf == "one":
         seen.add("one")
-        kind = rng.choice(["argmax", "hash"])
-        return random_game(rng, src, dst, max_strategies=1, kind=kind), False
+        return _random_atom(rng, src, dst, max_strategies=1), False
     return _random_atom(rng, src, dst), False
 
 
-def _fit(rng, g, trivial, src, dst):
-    """Reindex `g` onto the boundaries asked for, when they are fixed."""
-    if src is not None and g.src != src:
-        g = reindex_source(g, random_lens(rng, src, g.src))
-    if dst is not None and g.dst != dst:
-        g = reindex_target(g, random_lens(rng, g.dst, dst))
-    return g, trivial
+def _fit(rng, pair, trivial, src, dst):
+    """Reindex a game onto the boundaries asked for, when they are fixed."""
+    if src is not None and pair[0].src != src:
+        pair = _reindex_source(pair, random_lens(rng, src, pair[0].src))
+    if dst is not None and pair[0].dst != dst:
+        pair = _reindex_target(pair, random_lens(rng, pair[0].dst, dst))
+    return pair, trivial
 
 
 def _random_tree(rng, depth, seen, src=None, dst=None):
-    """A random game tree with its expected `trivial` flag.
+    """A random game tree with its reference best response and expected `trivial` flag.
 
     Leaves are random atoms, one-strategy random games and unit or trivial
     games; inner nodes are seq, tensor, product and the three reindexings.
@@ -399,11 +555,11 @@ def _random_tree(rng, depth, seen, src=None, dst=None):
     seen.add(op)
     if op == "seq":
         g, tg = _random_tree(rng, depth - 1, seen, src)
-        h, th = _random_tree(rng, depth - 1, seen, g.dst, dst)
-        return seq_compose(g, h), tg and th
+        h, th = _random_tree(rng, depth - 1, seen, g[0].dst, dst)
+        return _seq(g, h), tg and th
     if op == "tensor":
         (g, tg), (h, th) = (_random_tree(rng, depth - 1, seen) for _ in range(2))
-        return _fit(rng, tensor_games(g, h), tg and th, src, dst)
+        return _fit(rng, _tensor(g, h), tg and th, src, dst)
     if op == "product":
         back_src, back_dst = random_finite_set(rng, prefix="s"), random_finite_set(rng, prefix="r")
         children = [
@@ -414,15 +570,15 @@ def _random_tree(rng, depth, seen, src=None, dst=None):
             )
             for j in range(rng.randint(1, 3))
         ]
-        out = product_games([c for c, _ in children])
+        out = _product([c for c, _ in children])
         return _fit(rng, out, all(t for _, t in children), src, dst)
-    g, _ = _random_tree(rng, depth - 1, seen, src, dst)
+    (g, gb), _ = _random_tree(rng, depth - 1, seen, src, dst)
     picks = total_fn(make_set(range(3)), g.strategies, lambda _: rng.choice(g.strategies.elements))
-    return reindex_strategies(g, picks), False
+    return _reindex_strategies((g, gb), picks), False
 
 
 def test_relation_matches_the_definition_on_random_trees():
-    """Each constructor's relation equals filtering every pair through `best`.
+    """Each constructor's relation equals filtering every pair by the reference.
 
     Keys, their order and the order inside each tuple must all agree, with
     one memo shared across every context of a tree, as a check shares it.
@@ -431,7 +587,7 @@ def test_relation_matches_the_definition_on_random_trees():
     trivial_trees = 0
     for seed in range(160):
         rng = random.Random(f"relation/{seed}")
-        g, trivial = _random_tree(rng, rng.randint(1, 3), seen)
+        (g, best), trivial = _random_tree(rng, rng.randint(1, 3), seen)
         assert g.trivial == trivial, (seed, g)
         trivial_trees += trivial
         memo = {}
@@ -441,7 +597,7 @@ def test_relation_matches_the_definition_on_random_trees():
             )
             for h in g.src.forward:
                 expected = {
-                    s: tuple(d for d in g.strategies if g.best(h, k, s, d)) for s in g.strategies
+                    s: tuple(d for d in g.strategies if best(h, k, s, d)) for s in g.strategies
                 }
                 for got in (g.relation(h, k, memo), g.relation(h, k)):
                     assert got == expected, (seed, g, h)
@@ -468,7 +624,7 @@ def _random_reindexed(rng, depth):
     The reindexed game sits alone, before an atom or after one, so seq
     transports through a game without a transport of its own.
     """
-    g = _random_composite(rng, depth)
+    g, _ = _random_composite(rng, depth)
     op = rng.choice(["source", "target", "strategies"])
     if op == "source":
         g = reindex_source(g, random_lens(rng, random_diset(rng), g.src))
@@ -481,9 +637,9 @@ def _random_reindexed(rng, depth):
         g = reindex_strategies(g, picks)
     place = rng.choice(["alone", "first", "second"])
     if place == "first":
-        return seq_compose(g, _random_atom(rng, g.dst))
+        return seq_compose(g, _random_atom(rng, g.dst)[0])
     if place == "second":
-        return seq_compose(_random_atom(rng, dst=g.src), g)
+        return seq_compose(_random_atom(rng, dst=g.src)[0], g)
     return g
 
 
@@ -492,10 +648,10 @@ def test_transport_matches_apply_continuation_on_random_trees():
     for seed in range(200):
         rng = random.Random(f"transport/{seed}")
         depth = rng.randint(1, 2)
-        g = _random_composite(rng, depth) if seed % 2 else _random_reindexed(rng, depth)
+        g = _random_composite(rng, depth)[0] if seed % 2 else _random_reindexed(rng, depth)
         games = [g]
         if seed % 10 == 0:
-            games += _decision_composites(rng) + _plumbing_games(rng)
+            games += [g for g, _ in _decision_composites(rng) + _plumbing_games(rng)]
         for g in games:
             for _ in range(3):
                 k = total_fn(
@@ -529,14 +685,14 @@ def test_decision_states_at_history_subsets_match_the_definition():
     rng = random.Random("decision-states")
     xs, zs = make_set(["x0", "x1", "x2"]), make_set([0, 1, 2])
     games = [
-        decision(xs, zs),
-        decision(UNIT_SET, zs),
-        decision(zs, MOVES),
-        copy_decision([MOVES]),
-        copy_decision([MOVES, zs]),
-        copy_decision([zs, MOVES, MOVES]),
+        _decision(xs, zs),
+        _decision(UNIT_SET, zs),
+        _decision(zs, MOVES),
+        _copy_decision([MOVES]),
+        _copy_decision([MOVES, zs]),
+        _copy_decision([zs, MOVES, MOVES]),
     ]
-    for g in games:
+    for g, best in games:
         histories = g.src.forward.elements
         for _ in range(6):
             k = total_fn(
@@ -544,7 +700,7 @@ def test_decision_states_at_history_subsets_match_the_definition():
             )
             for r in range(1, len(histories) + 1):
                 for hs in itertools.combinations(histories, r):
-                    expected = [s for s in g.strategies if all(g.best(h, k, s, s) for h in hs)]
+                    expected = [s for s in g.strategies if all(best(h, k, s, s) for h in hs)]
                     assert g.states(hs, k) == expected, (g, hs)
                     assert g.states(hs[::-1] + hs[:1], k) == expected, (g, hs)
             for off in [("off",), (histories[0], "off")]:
@@ -636,12 +792,12 @@ def test_tensor_states_keep_no_continuation_tables():
     assert retained < 0.1 * 2**20, retained
     # No table of factor continuations or relations lives on the game.
     assert not any(isinstance(v, dict) and v for v in vars(g).values() if v is not g._play_cache)
-    for rule in (g._best, g._relation, g._states):
+    for rule in (g._relation, g._states):
         assert not any(isinstance(v, dict) for v in inspect.getclosurevars(rule).nonlocals.values())
 
 
 def test_relations_keep_no_tables_across_calls():
-    """The responses path leaves nothing behind once a call returns."""
+    """The relation, responses and best paths leave nothing behind once a call returns."""
     import gc
     import tracemalloc
 
@@ -662,6 +818,7 @@ def test_relations_keep_no_tables_across_calls():
         for h in g.src.forward:
             g.relation(h, k)
             g.responses(h, k, g.strategies.elements[0])
+            g.best(h, k, g.strategies.elements[0], g.strategies.elements[-1])
 
     ask(fresh())  # fills the play caches, bounded by the strategies
     tracemalloc.start()
@@ -707,11 +864,12 @@ def test_seq_relation_builds_no_cut_for_a_trivial_first_stage(monkeypatch):
     rng = random.Random(8)
     chooser = decision(MOVES, MOVES)
     xs = make_set(["x0", "x1", "x2"])
-    g = seq_compose(trivial_game(random_lens(rng, Diset(xs, UNIT_SET), chooser.src)), chooser)
+    first = trivial_game(random_lens(rng, Diset(xs, UNIT_SET), chooser.src))
+    g, best = _seq((first, _always), (chooser, _decision_best(MOVES)))
     assert not g.trivial
     k = total_fn(g.dst.forward, g.dst.backward, lambda y: Q(y == "D"))
     expected = {
-        h: {s: tuple(d for d in g.strategies if g.best(h, k, s, d)) for s in g.strategies}
+        h: {s: tuple(d for d in g.strategies if best(h, k, s, d)) for s in g.strategies}
         for h in g.src.forward
     }
 
@@ -774,6 +932,9 @@ def test_best_response_checks_the_context():
     bad_k = total_fn(UNIT_SET, Payoff(1), lambda _: Q(0))
     with pytest.raises(TypeMismatch):
         best_response(g, Context(UNIT, bad_k), sd, sd)
+    for sigma, deviation in [("junk", sd), (sd, "junk")]:
+        with pytest.raises(TypeMismatch):
+            best_response(g, Context(UNIT, k), sigma, deviation)
 
 
 def test_unknown_strategy_is_rejected():
