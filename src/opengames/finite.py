@@ -96,12 +96,15 @@ class FiniteSet:
         return iter(self.elements)
 
     def __contains__(self, v):
-        return v in self._index
+        try:
+            return v in self._index
+        except TypeError:  # unhashable, so not an element
+            return False
 
     def index(self, v) -> int:
         try:
             return self._index[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise TypeMismatch(f"{format_value(v)} is not an element of {self}") from None
 
     def __repr__(self):
@@ -252,42 +255,6 @@ def is_enumerable(carrier) -> bool:
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
 
-def carrier_elements(carrier) -> list:
-    """All elements of an enumerable carrier, in canonical order."""
-    if isinstance(carrier, FiniteSet):
-        return list(carrier)
-    if isinstance(carrier, Payoff):
-        if carrier.dim == 0:
-            return [()]
-        raise EnumerationBound(f"{carrier!r} is not enumerable")
-    if isinstance(carrier, PairCarrier):
-        return [
-            (x, y)
-            for x in carrier_elements(carrier.fst)
-            for y in carrier_elements(carrier.snd)
-        ]
-    if isinstance(carrier, SumCarrier):
-        out = []
-        for j, p in enumerate(carrier.parts):
-            out.extend(Tag(j, v) for v in carrier_elements(p))
-        return out
-    raise TypeMismatch(f"not a carrier: {carrier!r}")
-
-
-def carrier_size(carrier) -> int:
-    if isinstance(carrier, FiniteSet):
-        return len(carrier)
-    if isinstance(carrier, Payoff):
-        if carrier.dim == 0:
-            return 1
-        raise EnumerationBound(f"{carrier!r} is not enumerable")
-    if isinstance(carrier, PairCarrier):
-        return carrier_size(carrier.fst) * carrier_size(carrier.snd)
-    if isinstance(carrier, SumCarrier):
-        return sum(carrier_size(p) for p in carrier.parts)
-    raise TypeMismatch(f"not a carrier: {carrier!r}")
-
-
 def carrier_contains(carrier, v) -> bool:
     if isinstance(carrier, FiniteSet):
         return v in carrier
@@ -395,7 +362,7 @@ class TotalFn:
     def __call__(self, x):
         try:
             i = self.dom._index[x]
-        except KeyError:
+        except (KeyError, TypeError):
             i = self.dom.index(x)  # raises the error naming the domain
         return self.values[i]
 

@@ -56,7 +56,6 @@ from .finite import (
     flat_product,
     nested_product,
     product_set,
-    total_fn,
 )
 from .lenses import (
     Context,
@@ -65,6 +64,9 @@ from .lenses import (
     MapTree,
     UConst,
     USecond,
+    _NEST_RIGHT,
+    _PAD_RIGHT,
+    _rearrange_lens,
     apply_continuation,
     branch_continuation,
     copair_lenses,
@@ -96,7 +98,10 @@ class OpenGame:
         self._play_cache = {}
 
     def play(self, sigma) -> Lens:
-        lens = self._play_cache.get(sigma)
+        try:
+            lens = self._play_cache.get(sigma)
+        except TypeError:  # unhashable, so not a strategy
+            lens = None
         if lens is None:
             if sigma not in self.strategies:
                 raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}")
@@ -141,7 +146,11 @@ class OpenGame:
 
     def responses(self, history, continuation, sigma) -> tuple:
         """The best responses to `sigma` at one context, in order."""
-        row = self.relation(history, continuation).get(sigma)
+        relation = self.relation(history, continuation)
+        try:
+            row = relation.get(sigma)
+        except TypeError:  # unhashable, so not a strategy
+            row = None
         if row is None:
             raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}")
         return row
@@ -545,49 +554,17 @@ def copy_decision_composite(sets) -> OpenGame:
     hist_d = Diset(hist, UNIT_SET)
     pass_d = Diset(UNIT_SET, qprev)
 
-    intro_cod = diset_tensor(hist_d, pass_d)
-    intro = Lens(
-        Diset(hist, qprev),
-        intro_cod,
-        total_fn(hist, intro_cod.forward, lambda x: (x, UNIT)),
-        USecond(MapTree(intro_cod.backward, qprev, leaf([1]))),
-    )
-
-    dup_cod = Diset(product_set(hist, hist), UNIT_SET)
-    dup = Lens(
-        hist_d,
-        dup_cod,
-        total_fn(hist, dup_cod.forward, lambda x: (x, x)),
-        UConst(UNIT),
-    )
+    intro = _rearrange_lens(Diset(hist, qprev), diset_tensor(hist_d, pass_d), _PAD_RIGHT, leaf([1]))
+    dup = _rearrange_lens(hist_d, Diset(product_set(hist, hist), UNIT_SET),
+                          pair_t(leaf(), leaf()), lit(UNIT))
     stage_copy = tensor_games(trivial_game(dup, label="copy"), unit_game(pass_d))
-
-    shuffle_dom = stage_copy.dst
-    shuffle_cod = diset_tensor(hist_d, diset_tensor(hist_d, pass_d))
-    shuffle = Lens(
-        shuffle_dom,
-        shuffle_cod,
-        total_fn(shuffle_dom.forward, shuffle_cod.forward, lambda v: (v[0][0], (v[0][1], v[1]))),
-        USecond(MapTree(shuffle_cod.backward, shuffle_dom.backward, pair_t(lit(UNIT), leaf([1, 1])))),
-    )
-
+    shuffle = _rearrange_lens(stage_copy.dst, diset_tensor(hist_d, diset_tensor(hist_d, pass_d)),
+                              _NEST_RIGHT, pair_t(lit(UNIT), leaf([1, 1])))
     chooser = decision(hist, last)
     stage_play = tensor_games(unit_game(hist_d), tensor_games(chooser, unit_game(pass_d)))
-
-    close_dom = stage_play.dst
-    close_cod = Diset(nested_product(sets), Payoff(n))
-    close = Lens(
-        close_dom,
-        close_cod,
-        total_fn(close_dom.forward, close_cod.forward, lambda v: (v[0], v[1][0])),
-        USecond(
-            MapTree(
-                Payoff(n),
-                close_dom.backward,
-                pair_t(lit(UNIT), pair_t(leaf((), take=(n - 1,)), leaf((), take=tuple(range(n - 1))))),
-            )
-        ),
-    )
+    payoffs = pair_t(leaf((), take=(n - 1,)), leaf((), take=tuple(range(n - 1))))
+    close = _rearrange_lens(stage_play.dst, Diset(nested_product(sets), Payoff(n)),
+                            pair_t(leaf([0]), leaf([1, 0])), pair_t(lit(UNIT), payoffs))
 
     out = seq_compose(
         trivial_game(intro, label="intro"),

@@ -11,6 +11,7 @@ domains on a finite probe set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import BackwardMismatch, EnumerationBound, TypeMismatch
@@ -23,7 +24,6 @@ from .finite import (
     UNIT,
     UNIT_SET,
     _derived_fn,
-    carrier_elements,
     const_fn,
     compose_fn,
     format_value,
@@ -355,59 +355,54 @@ def apply_continuation(l: Lens, k: TotalFn) -> TotalFn:
 # ---------------------------------------------------------------------------
 
 
+def _rearrange_lens(dom: Diset, cod: Diset, forward, backward) -> Lens:
+    """The lens that rebuilds values by templates: each forward value of `dom`
+    by `forward`, each backward value of `cod` by `backward`.
+
+    Swapping the templates (and the disets) gives the inverse lens.
+    """
+    view = TotalFn(dom.forward, cod.forward, tuple(_fill(forward, v) for v in dom.forward))
+    return Lens(dom, cod, view, USecond(MapTree(cod.backward, dom.backward, backward)))
+
+
+_NEST_RIGHT = pair_t(leaf([0, 0]), pair_t(leaf([0, 1]), leaf([1])))  # ((a, b), c) -> (a, (b, c))
+_NEST_LEFT = pair_t(pair_t(leaf([0]), leaf([1, 0])), leaf([1, 1]))  # (a, (b, c)) -> ((a, b), c)
+_PAD_LEFT = pair_t(lit(UNIT), leaf())  # a -> (*, a)
+_PAD_RIGHT = pair_t(leaf(), lit(UNIT))  # a -> (a, *)
+_SWAP = pair_t(leaf([1]), leaf([0]))
+
+
 def assoc_lens(a: Diset, b: Diset, c: Diset) -> Lens:
     """(a (x) b) (x) c -> a (x) (b (x) c)."""
     dom = diset_tensor(diset_tensor(a, b), c)
-    cod = diset_tensor(a, diset_tensor(b, c))
-    view = total_fn(dom.forward, cod.forward, lambda v: (v[0][0], (v[0][1], v[1])))
-    g = MapTree(cod.backward, dom.backward, pair_t(pair_t(leaf([0]), leaf([1, 0])), leaf([1, 1])))
-    return Lens(dom, cod, view, USecond(g))
+    return _rearrange_lens(dom, diset_tensor(a, diset_tensor(b, c)), _NEST_RIGHT, _NEST_LEFT)
 
 
 def unassoc_lens(a: Diset, b: Diset, c: Diset) -> Lens:
     dom = diset_tensor(a, diset_tensor(b, c))
-    cod = diset_tensor(diset_tensor(a, b), c)
-    view = total_fn(dom.forward, cod.forward, lambda v: ((v[0], v[1][0]), v[1][1]))
-    g = MapTree(cod.backward, dom.backward, pair_t(leaf([0, 0]), pair_t(leaf([0, 1]), leaf([1]))))
-    return Lens(dom, cod, view, USecond(g))
+    return _rearrange_lens(dom, diset_tensor(diset_tensor(a, b), c), _NEST_LEFT, _NEST_RIGHT)
 
 
 def lunit_lens(a: Diset) -> Lens:
     """I (x) a -> a."""
-    dom = diset_tensor(UNIT_DISET, a)
-    view = total_fn(dom.forward, a.forward, lambda v: v[1])
-    g = MapTree(a.backward, dom.backward, pair_t(lit(UNIT), leaf()))
-    return Lens(dom, a, view, USecond(g))
+    return _rearrange_lens(diset_tensor(UNIT_DISET, a), a, leaf([1]), _PAD_LEFT)
 
 
 def lunit_inv_lens(a: Diset) -> Lens:
-    cod = diset_tensor(UNIT_DISET, a)
-    view = total_fn(a.forward, cod.forward, lambda v: (UNIT, v))
-    g = MapTree(cod.backward, a.backward, leaf([1]))
-    return Lens(a, cod, view, USecond(g))
+    return _rearrange_lens(a, diset_tensor(UNIT_DISET, a), _PAD_LEFT, leaf([1]))
 
 
 def runit_lens(a: Diset) -> Lens:
     """a (x) I -> a."""
-    dom = diset_tensor(a, UNIT_DISET)
-    view = total_fn(dom.forward, a.forward, lambda v: v[0])
-    g = MapTree(a.backward, dom.backward, pair_t(leaf(), lit(UNIT)))
-    return Lens(dom, a, view, USecond(g))
+    return _rearrange_lens(diset_tensor(a, UNIT_DISET), a, leaf([0]), _PAD_RIGHT)
 
 
 def runit_inv_lens(a: Diset) -> Lens:
-    cod = diset_tensor(a, UNIT_DISET)
-    view = total_fn(a.forward, cod.forward, lambda v: (v, UNIT))
-    g = MapTree(cod.backward, a.backward, leaf([0]))
-    return Lens(a, cod, view, USecond(g))
+    return _rearrange_lens(a, diset_tensor(a, UNIT_DISET), _PAD_RIGHT, leaf([0]))
 
 
 def swap_lens(a: Diset, b: Diset) -> Lens:
-    dom = diset_tensor(a, b)
-    cod = diset_tensor(b, a)
-    view = total_fn(dom.forward, cod.forward, lambda v: (v[1], v[0]))
-    g = MapTree(cod.backward, dom.backward, pair_t(leaf([1]), leaf([0])))
-    return Lens(dom, cod, view, USecond(g))
+    return _rearrange_lens(diset_tensor(a, b), diset_tensor(b, a), _SWAP, _SWAP)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +412,13 @@ def swap_lens(a: Diset, b: Diset) -> Lens:
 
 def _update_samples(l: Lens, bound: int):
     back = l.cod.backward
-    if is_enumerable(back):
-        rs = carrier_elements(back)
-    else:
+    if not is_enumerable(back):
         kinds = set()
         l.update.kinds(kinds)
         unknown = kinds - SANCTIONED
         if unknown:
             raise TypeMismatch(f"unsanctioned update constructors: {sorted(unknown)}")
-        rs = probe_values(back)
+    rs = probe_values(back)
     total = len(l.dom.forward) * len(rs)
     if total > bound:
         raise EnumerationBound(f"{total} update probes exceed bound {bound}")
@@ -499,12 +492,7 @@ def right_context(left_play: Lens, c: Context, right_dst: Diset) -> Context:
 
 def default_continuations(d: Diset, bound: int = DEFAULT_BOUND):
     """All continuations when the backward carrier is enumerable, probes otherwise."""
-    import itertools
-
-    if is_enumerable(d.backward):
-        vals = carrier_elements(d.backward)
-    else:
-        vals = probe_values(d.backward)
+    vals = probe_values(d.backward)
     count = len(vals) ** len(d.forward)
     if count > bound:
         raise EnumerationBound(f"{count} continuations exceed bound {bound}")

@@ -27,7 +27,7 @@ from .lenses import (
     lenses_equal,
     lens_to_continuation,
 )
-from .games import OpenGame, unit_game
+from .games import OpenGame, seq_compose, tensor_games, unit_game
 
 
 @dataclass
@@ -167,8 +167,6 @@ def hcompose(left: GameMorphism, right: GameMorphism, bound: int = DEFAULT_BOUND
 
     The middle legs (target leg of `left`, source leg of `right`) must agree.
     """
-    from .games import seq_compose
-
     if not lenses_equal(left.t_lens, right.s_lens, bound):
         raise BoundaryMismatch("middle boundary legs differ")
     src_comp = seq_compose(left.source_game, right.source_game)
@@ -182,8 +180,6 @@ def hcompose(left: GameMorphism, right: GameMorphism, bound: int = DEFAULT_BOUND
 
 
 def tensor_morphisms(a: GameMorphism, b: GameMorphism) -> GameMorphism:
-    from .games import tensor_games
-
     src_t = tensor_games(a.source_game, b.source_game)
     dst_t = tensor_games(a.target_game, b.target_game)
     sigma = total_fn(

@@ -932,12 +932,18 @@ def test_best_response_checks_the_context():
     bad_k = total_fn(UNIT_SET, Payoff(1), lambda _: Q(0))
     with pytest.raises(TypeMismatch):
         best_response(g, Context(UNIT, bad_k), sd, sd)
-    for sigma, deviation in [("junk", sd), (sd, "junk")]:
+    for sigma, deviation in [("junk", sd), (sd, "junk"), ([1], sd), (sd, [1])]:
         with pytest.raises(TypeMismatch):
             best_response(g, Context(UNIT, k), sigma, deviation)
+    with pytest.raises(TypeMismatch):
+        best_response(g, Context([1], k), sd, sd)
 
 
 def test_unknown_strategy_is_rejected():
     g = decision(UNIT_SET, MOVES)
-    with pytest.raises(TypeMismatch):
-        g.play("not a strategy")
+    k = total_fn(MOVES, Payoff(1), {"C": Q(0), "D": Q(1)})
+    for sigma in ["not a strategy", [1]]:
+        with pytest.raises(TypeMismatch):
+            g.play(sigma)
+        with pytest.raises(TypeMismatch):
+            g.responses(UNIT, k, sigma)

@@ -16,8 +16,6 @@ from opengames.finite import (
     UNIT,
     UNIT_SET,
     carrier_contains,
-    carrier_elements,
-    carrier_size,
     compose_fn,
     coproduct_set,
     enumerate_functions,
@@ -125,8 +123,7 @@ def test_payoff_membership_is_exact_rationals():
 
 def test_zero_dimensional_payoff_is_enumerable():
     assert is_enumerable(Payoff(0))
-    assert carrier_elements(Payoff(0)) == [()]
-    assert carrier_size(Payoff(0)) == 1
+    assert probe_values(Payoff(0)) == [()]
     assert not is_enumerable(Payoff(1))
 
 
