@@ -2,8 +2,10 @@
 
 An expression remembers how a composite was assembled.  That syntactic
 structure is what makes the refined solution concept computable: a
-separable state must factor through every cut of the tree, and the
-recursion below certifies one cut at a time.
+separable state must factor through every cut of the tree.  Each node
+runs its combinator's states join from `games`, the one Nash states use,
+with each part answering by its separable states; certificates are
+re-derived afterwards, only for the profiles returned.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import TypeMismatch
 from .finite import TotalFn, format_value, value_to_json
-from .games import OpenGame, game_states, product_games, seq_compose, tensor_games
+from .games import (OpenGame, game_states, product_games, product_states, seq_compose,
+                    seq_states, tensor_games, tensor_states)
 from .lenses import branch_continuation, factor_continuation
 
 
@@ -117,105 +120,81 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     Returned in the composite game's strategy enumeration order as
     (profile, certificate) pairs.
     """
-    game = eval_expr(expr)
-    if continuation.dom != game.dst.forward:
+    if continuation.dom != eval_expr(expr).dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
-    table = _separable(expr, continuation, {})
-    ordered = sorted(table, key=lambda profile: _rank(expr, profile))
-    return [(profile, table[profile]) for profile in ordered]
-
-
-def _rank(expr, profile):
-    """A key ordering profiles as the composite's strategy set lists them.
-
-    Composite strategy sets are products in lexicographic order, so the
-    tuple of the parts' ranks orders them without indexing the composite.
-    """
-    if isinstance(expr, Atom):
-        return expr.game.strategies.index(profile)
-    if isinstance(expr, Seq):
-        return (_rank(expr.first, profile[0]), _rank(expr.second, profile[1]))
-    if isinstance(expr, Tensor):
-        return (_rank(expr.left, profile[0]), _rank(expr.right, profile[1]))
-    return tuple(_rank(c, p) for c, p in zip(expr.children, profile))
+    profiles = _separable(expr, continuation, {})
+    done = {}
+    return [(p, _certificate(expr, p, continuation, done)) for p in profiles]
 
 
 def _separable(expr, k, memo):
-    key = (expr, k)
-    if key in memo:
-        return memo[key]
+    """The separable profiles of `expr` against `k`, in strategy order.
 
+    A composite runs its combinator's states join over its whole source,
+    with each part answering by its own separable profiles.
+    """
+    hists = eval_expr(expr).src.forward  # raises TypeMismatch on a non-expression
     if isinstance(expr, Atom):
-        out = {s: CertAtom(s, k) for s in game_states(expr.game, k)}
-
+        out = game_states(expr.game, k)
     elif isinstance(expr, Seq):
-        h = eval_expr(expr.second)
-        out = {}
-        for tau, cert_second in _separable(expr.second, k, memo).items():
-            cut = h.transport(tau, k)
-            for sigma, cert_first in _separable(expr.first, cut, memo).items():
-                out[(sigma, tau)] = CertSeq(cert_first, cert_second, cut)
-
+        out = seq_states(eval_expr(expr.first), eval_expr(expr.second), hists, k,
+                         _part(expr.first, memo), _part(expr.second, memo))
     elif isinstance(expr, Tensor):
-        gl, gr = eval_expr(expr.left), eval_expr(expr.right)
-        subs = {}  # (side, partner move) -> separable table of that factor
-        out = {}
-        for sl, sr in eval_expr(expr).strategies:
-            cert = _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr)
-            if cert is not None:
-                out[(sl, sr)] = cert
-
-    elif isinstance(expr, Product):
-        # A child's table is built when the first profile reaches it, so a
-        # child no profile reaches is never evaluated.
-        subs = {}  # j -> separable table of child j
-        out = {}
-        for profile in eval_expr(expr).strategies:
-            certs = []
-            for j, child in enumerate(expr.children):
-                sub = subs.get(j)
-                if sub is None:
-                    kj = branch_continuation(k, j, eval_expr(child).dst)
-                    sub = subs[j] = _separable(child, kj, memo)
-                if profile[j] not in sub:
-                    certs = None
-                    break
-                certs.append(sub[profile[j]])
-            if certs is not None:
-                out[profile] = CertProduct(tuple(certs))
-
+        out = tensor_states(eval_expr(expr.left), eval_expr(expr.right), hists, k,
+                            _part(expr.left, memo), _part(expr.right, memo))
     else:
-        raise TypeMismatch(f"not a game expression: {expr!r}")
-
-    memo[key] = out
+        out = product_states([eval_expr(c) for c in expr.children], hists, k,
+                             [_part(c, memo) for c in expr.children])
+    memo[(expr, k)] = out
     return out
 
 
-def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
-    """Certify (sl, sr) against k; `subs` holds the factor tables built so far."""
-    right_view = gr.play(sr).view
-    left_certs = []
-    for h2 in gr.src.forward:
-        y2 = right_view(h2)
-        sub = subs.get((0, y2))
-        if sub is None:
-            kl = factor_continuation(k, 0, y2, gl.dst)
-            sub = subs[(0, y2)] = _separable(expr.left, kl, memo)
-        if sl not in sub:
-            return None
-        left_certs.append((h2, sub[sl]))
-    left_view = gl.play(sl).view
-    right_certs = []
-    for h1 in gl.src.forward:
-        y1 = left_view(h1)
-        sub = subs.get((1, y1))
-        if sub is None:
-            kr = factor_continuation(k, 1, y1, gr.dst)
-            sub = subs[(1, y1)] = _separable(expr.right, kr, memo)
-        if sr not in sub:
-            return None
-        right_certs.append((h1, sub[sr]))
-    return CertTensor(tuple(left_certs), tuple(right_certs))
+def _part(expr, memo):
+    """A part's states rule: its separable profiles, which already hold at every
+    history of the part, so the histories asked are ignored."""
+    def rule(_hists, k):
+        out = memo.get((expr, k))
+        return _separable(expr, k, memo) if out is None else out
+    return rule
+
+
+def _certificate(expr, profile, k, done):
+    """The witness of a separable profile: the contexts the joins checked it at.
+
+    `done` shares witnesses and (under 4-tuple keys) factor continuations
+    between profiles.  Keys hold a continuation's id, as equal tables would
+    compare in full; the witness stored under a key holds its continuation.
+    """
+    key = (expr, profile, id(k))
+    cert = done.get(key)
+    if cert is not None:
+        return cert
+    if isinstance(expr, Atom):
+        cert = CertAtom(profile, k)
+    elif isinstance(expr, Seq):
+        cut = eval_expr(expr.second).transport(profile[1], k)
+        cert = CertSeq(_certificate(expr.first, profile[0], cut, done),
+                       _certificate(expr.second, profile[1], k, done), cut)
+    elif isinstance(expr, Tensor):
+        sides = ([], [])
+        joint = len(eval_expr(expr).src.forward)  # with no joint history nothing is checked
+        for side, own, partner in ((0, expr.left, expr.right), (1, expr.right, expr.left)):
+            view = eval_expr(partner).play(profile[1 - side]).view
+            for h in eval_expr(partner).src.forward if joint else ():
+                move = view(h)
+                kf = done.get((id(k), side, move, own))
+                if kf is None:
+                    kf = done[(id(k), side, move, own)] = factor_continuation(
+                        k, side, move, eval_expr(own).dst)
+                sides[side].append((h, _certificate(own, profile[side], kf, done)))
+        cert = CertTensor(tuple(sides[0]), tuple(sides[1]))
+    else:
+        cert = CertProduct(tuple(
+            _certificate(c, p, branch_continuation(k, j, eval_expr(c).dst), done)
+            for j, (c, p) in enumerate(zip(expr.children, profile))
+        ))
+    done[key] = cert
+    return cert
 
 
 def _fn_to_json(fn: TotalFn, max_table: int):

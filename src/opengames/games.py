@@ -17,11 +17,16 @@ check and shares between the games it asks, keyed by game and context,
 so a part met again in either game of a morphism is solved once and
 nothing outlives the check.
 
-States of seq, tensor and product games are assembled from their parts'
-states.  A decision's states are built as a product, with its argmax
-allowed at each asked history and any choice elsewhere, not by scanning
-its function space; only games without a `states` rule of their own,
-such as the reindexed ones, filter every strategy through their relation.
+States of seq, tensor and product games come from one join per
+combinator (`seq_states`, `tensor_states`, `product_states`).  A join
+takes a states rule `(histories, continuation) -> states` per part and
+answers in strategy order.  A composite game passes its parts' own
+`states`; separable states (`expr`) pass each part's separable states,
+so Nash and subgame-perfect profiles share the joins.  A decision's
+states are built as a product, with its argmax allowed at each asked
+history and any choice elsewhere, not by scanning its function space;
+only games without a `states` rule of their own, such as the reindexed
+ones, filter every strategy through their relation.
 
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
@@ -35,7 +40,7 @@ back, then the first's, so no composite play lens is built on the
 equilibrium paths and each stage lens keeps its own tables.
 
 Tensor factor and product child continuations are kept per call in
-`states` and `relation`, so no game keeps a table per continuation.
+the joins and in `relation`, so no game keeps a table per continuation.
 """
 
 from __future__ import annotations
@@ -139,7 +144,10 @@ class OpenGame:
         if memo is None:
             memo = {}
         key = (self, history, continuation)
-        table = memo.get(key)
+        try:
+            table = memo.get(key)
+        except TypeError:  # unhashable, so not a context
+            raise TypeMismatch(f"not a context of {self.label or 'game'}: {history!r}") from None
         if table is None:
             table = memo[key] = self._relation(history, continuation, memo)
         return table
@@ -350,24 +358,8 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
                 out[(s, t)] = _row_product(built, firsts, seconds[t]) if firsts else ()
         return out
 
-    def states(hists, k):
-        seconds = {}  # histories reached by a first-stage strategy -> h's states there
-        firsts = {}  # second-stage state -> g's states against the cut it leaves
-        out = []
-        for s in g.strategies:
-            reached = frozenset(map(g.play(s).view, hists))
-            ts = seconds.get(reached)
-            if ts is None:
-                ts = seconds[reached] = h.states(reached, k)
-            for t in ts:
-                ss = firsts.get(t)
-                if ss is None:
-                    ss = firsts[t] = set(g.states(hists, h.transport(t, k)))
-                if s in ss:
-                    out.append((s, t))
-        return out
-
-    return OpenGame(g.src, h.dst, strategies, play, relation, label="seq", states=states,
+    return OpenGame(g.src, h.dst, strategies, play, relation, label="seq",
+                    states=lambda hists, k: seq_states(g, h, hists, k, g.states, h.states),
                     transport=transport, trivial=g.trivial and h.trivial)
 
 
@@ -406,42 +398,8 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
                 out[(s1, s2)] = _row_product(built, firsts, right[s2]) if firsts else ()
         return out
 
-    def states(hists, k):
-        kfs = {}  # (side, partner move) -> that factor's continuation under k
-        found = {}  # (side, own history, partner move) -> that factor's states
-
-        def needs(side, partner):  # the sets one factor must lie in
-            own, sets = (g1, g2)[side], []
-            for hist in hists:
-                move = partner.view(hist[1 - side])
-                key = (side, hist[side], move)
-                got = found.get(key)
-                if got is None:
-                    kf = kfs.get((side, move))
-                    if kf is None:
-                        kf = kfs[(side, move)] = factor_continuation(k, side, move, own.dst)
-                    got = found[key] = set(own.states((hist[side],), kf))
-                sets.append(got)
-            return sets
-
-        # Left first: s1's right-hand needs are built only once some s2 passes.
-        lefts = {}  # s2 -> the sets s1 must lie in
-        out = []
-        for s1 in g1.strategies:
-            rights = None
-            for s2 in g2.strategies:
-                left = lefts.get(s2)
-                if left is None:
-                    left = lefts[s2] = needs(0, g2.play(s2))
-                if not all(s1 in st for st in left):
-                    continue
-                if rights is None:
-                    rights = needs(1, g1.play(s1))
-                if all(s2 in st for st in rights):
-                    out.append((s1, s2))
-        return out
-
-    return OpenGame(src, dst, strategies, play, relation, label="tensor", states=states,
+    return OpenGame(src, dst, strategies, play, relation, label="tensor",
+                    states=lambda hists, k: tensor_states(g1, g2, hists, k, g1.states, g2.states),
                     trivial=g1.trivial and g2.trivial)
 
 
@@ -474,19 +432,77 @@ def product_games(games) -> OpenGame:
             rows[sj] = tuple(itertools.product(*per_child))
         return {sigma: rows[sigma[j]] for sigma in strategies}
 
-    def states(hists, k):
-        # Only the tagged branch counts, so the product of each child's
-        # states at its own histories is the answer, in lexicographic order.
-        per_child = []
-        for j, g in enumerate(games):
-            mine = [hist.value for hist in hists if hist.side == j]
-            per_child.append(
-                g.states(mine, branch_continuation(k, j, g.dst)) if mine else g.strategies
-            )
-        return list(itertools.product(*per_child))
-
-    return OpenGame(src, dst, strategies, play, relation, label="product", states=states,
+    return OpenGame(src, dst, strategies, play, relation, label="product",
+                    states=lambda hs, k: product_states(games, hs, k, [g.states for g in games]),
                     trivial=all(g.trivial for g in games))
+
+
+def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> list:
+    """Pairs (s, t): t in `second`'s states at the histories s hands on, s in
+    `first`'s states against the cut t leaves."""
+    seconds = {}  # histories reached by a first-stage strategy -> `second` there
+    firsts = {}  # second-stage state -> `first` against the cut it leaves
+    out = []
+    for s in g.strategies:
+        reached = frozenset(map(g.play(s).view, hists))
+        ts = seconds.get(reached)
+        if ts is None:
+            ts = seconds[reached] = second(reached, k)
+        for t in ts:
+            ss = firsts.get(t)
+            if ss is None:
+                ss = firsts[t] = set(first(hists, h.transport(t, k)))
+            if s in ss:
+                out.append((s, t))
+    return out
+
+
+def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) -> list:
+    """Pairs (s1, s2): at each joint history, each factor in its rule's states
+    against the continuation its partner's move leaves."""
+    kfs = {}  # (side, partner move) -> that factor's continuation under k
+    found = {}  # (side, own history, partner move) -> that factor's states
+
+    def needs(side, partner):  # the sets one factor must lie in
+        own, rule, sets = (g1, g2)[side], (left, right)[side], []
+        for hist in hists:
+            move = partner.view(hist[1 - side])
+            key = (side, hist[side], move)
+            got = found.get(key)
+            if got is None:
+                kf = kfs.get((side, move))
+                if kf is None:
+                    kf = kfs[(side, move)] = factor_continuation(k, side, move, own.dst)
+                got = found[key] = set(rule((hist[side],), kf))
+            sets.append(got)
+        return sets
+
+    # Left first: s1's right-hand needs are built only once some s2 passes.
+    lefts = {}  # s2 -> the sets s1 must lie in
+    out = []
+    for s1 in g1.strategies:
+        rights = None
+        for s2 in g2.strategies:
+            left_needs = lefts.get(s2)
+            if left_needs is None:
+                left_needs = lefts[s2] = needs(0, g2.play(s2))
+            if not all(s1 in st for st in left_needs):
+                continue
+            if rights is None:
+                rights = needs(1, g1.play(s1))
+            if all(s2 in st for st in rights):
+                out.append((s1, s2))
+    return out
+
+
+def product_states(games, hists, k: TotalFn, rules) -> list:
+    """The product of each child's states at its tagged histories, since only the
+    tagged branch is played; a child with none is asked too."""
+    per_child = []
+    for j, (g, rule) in enumerate(zip(games, rules)):
+        mine = [hist.value for hist in hists if hist.side == j]
+        per_child.append(rule(mine, branch_continuation(k, j, g.dst)))
+    return list(itertools.product(*per_child))
 
 
 def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:

@@ -479,6 +479,14 @@ def test_reports_match_golden_files(capsys, monkeypatch):
     assert out == (GOLDEN / "market_separable.json").read_text(encoding="utf-8")
 
 
+def test_spe_report_matches_golden_file(capsys, monkeypatch):
+    """Subgame-perfect witnesses of a three-stage sequential document, pinned byte for byte."""
+    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "three_stage.og").read_text("utf-8")))
+    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "spe"])
+    assert code == 0
+    assert out == (GOLDEN / "three_stage_spe.json").read_text(encoding="utf-8")
+
+
 def test_parse_subcommand_json_and_text(tmp_path, capsys):
     path = write_doc(tmp_path, PD_DOC)
     code, out, _ = run_cli(capsys, ["parse", "--input", path])

@@ -947,3 +947,13 @@ def test_unknown_strategy_is_rejected():
             g.play(sigma)
         with pytest.raises(TypeMismatch):
             g.responses(UNIT, k, sigma)
+
+
+def test_unhashable_history_is_rejected():
+    g = decision(UNIT_SET, MOVES)
+    k = total_fn(MOVES, Payoff(1), {"C": Q(0), "D": Q(1)})
+    s = g.strategies.elements[0]
+    with pytest.raises(TypeMismatch):
+        g.relation([1], k)
+    with pytest.raises(TypeMismatch):
+        g.responses([1], k, s)
