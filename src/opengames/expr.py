@@ -123,16 +123,13 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     if continuation.dom != eval_expr(expr).dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
     profiles = _separable(expr, continuation, {})
-    done = {}
-    return [(p, _certificate(expr, p, continuation, done)) for p in profiles]
+    witnesses, derived = {}, {}
+    return [(p, _certificate(expr, p, continuation, witnesses, derived)) for p in profiles]
 
 
 def _separable(expr, k, memo):
-    """The separable profiles of `expr` against `k`, in strategy order.
-
-    A composite runs its combinator's states join over its whole source,
-    with each part answering by its own separable profiles.
-    """
+    """The separable profiles of `expr` against `k`, in strategy order: a
+    composite's states join over its whole source, each part answering by `_part`."""
     hists = eval_expr(expr).src.forward  # raises TypeMismatch on a non-expression
     if isinstance(expr, Atom):
         out = game_states(expr.game, k)
@@ -158,42 +155,47 @@ def _part(expr, memo):
     return rule
 
 
-def _certificate(expr, profile, k, done):
+def _certificate(expr, profile, k, witnesses, derived):
     """The witness of a separable profile: the contexts the joins checked it at.
 
-    `done` shares witnesses and (under 4-tuple keys) factor continuations
-    between profiles.  Keys hold a continuation's id, as equal tables would
-    compare in full; the witness stored under a key holds its continuation.
+    `witnesses` and `derived` (continuations built from `k`) are shared
+    between profiles.  Both key `k` by its id, as equal tables would
+    compare in full, and store `k` with the value to keep the id unique.
     """
     key = (expr, profile, id(k))
-    cert = done.get(key)
-    if cert is not None:
-        return cert
+    hit = witnesses.get(key)
+    if hit is not None:
+        return hit[1]
+
+    def derive(part, build):  # one continuation from k per `part`, built once
+        got = derived.get((id(k), part))
+        if got is None:
+            got = derived[(id(k), part)] = (k, build())
+        return got[1]
+
     if isinstance(expr, Atom):
         cert = CertAtom(profile, k)
     elif isinstance(expr, Seq):
-        cut = eval_expr(expr.second).transport(profile[1], k)
-        cert = CertSeq(_certificate(expr.first, profile[0], cut, done),
-                       _certificate(expr.second, profile[1], k, done), cut)
+        second = eval_expr(expr.second)
+        cut = derive((expr, profile[1]), lambda: second.transport(profile[1], k))
+        cert = CertSeq(_certificate(expr.first, profile[0], cut, witnesses, derived),
+                       _certificate(expr.second, profile[1], k, witnesses, derived), cut)
     elif isinstance(expr, Tensor):
         sides = ([], [])
         joint = len(eval_expr(expr).src.forward)  # with no joint history nothing is checked
         for side, own, partner in ((0, expr.left, expr.right), (1, expr.right, expr.left)):
-            view = eval_expr(partner).play(profile[1 - side]).view
-            for h in eval_expr(partner).src.forward if joint else ():
-                move = view(h)
-                kf = done.get((id(k), side, move, own))
-                if kf is None:
-                    kf = done[(id(k), side, move, own)] = factor_continuation(
-                        k, side, move, eval_expr(own).dst)
-                sides[side].append((h, _certificate(own, profile[side], kf, done)))
+            hists = eval_expr(partner).src.forward if joint else ()
+            for h, move in zip(hists, eval_expr(partner).reach(profile[1 - side], hists)):
+                kf = derive((own, side, move),
+                            lambda: factor_continuation(k, side, move, eval_expr(own).dst))
+                sides[side].append((h, _certificate(own, profile[side], kf, witnesses, derived)))
         cert = CertTensor(tuple(sides[0]), tuple(sides[1]))
     else:
         cert = CertProduct(tuple(
-            _certificate(c, p, branch_continuation(k, j, eval_expr(c).dst), done)
+            _certificate(c, p, branch_continuation(k, j, eval_expr(c).dst), witnesses, derived)
             for j, (c, p) in enumerate(zip(expr.children, profile))
         ))
-    done[key] = cert
+    witnesses[key] = (k, cert)
     return cert
 
 

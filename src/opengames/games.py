@@ -34,10 +34,10 @@ product of trivial games and their reindexed boundaries.  Their relation
 is read off without a continuation or a memo entry, and seq, tensor and
 product build no cut, factor or branch continuation for a trivial part.
 
-A seq game evaluates the continuation at its cut stage by stage
-(`OpenGame.transport`): the second stage's play pulls the continuation
-back, then the first's, so no composite play lens is built on the
-equilibrium paths and each stage lens keeps its own tables.
+A seq game pulls a continuation back to its cut stage by stage
+(`OpenGame.transport`), and seq, tensor and product games hand histories
+on through their parts (`OpenGame.reach`), so the joins build no
+composite play lens and each stage lens keeps its own tables.
 
 Tensor factor and product child continuations are kept per call in
 the joins and in `relation`, so no game keeps a table per continuation.
@@ -52,6 +52,7 @@ from .finite import (
     DEFAULT_BOUND,
     FiniteSet,
     Payoff,
+    Tag,
     TotalFn,
     UNIT,
     UNIT_SET,
@@ -90,7 +91,7 @@ from .lenses import (
 
 class OpenGame:
     def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, relation, label="",
-                 states=None, transport=None, trivial=False):
+                 states=None, transport=None, reach=None, trivial=False):
         self.src = src
         self.dst = dst
         self.strategies = strategies
@@ -98,6 +99,7 @@ class OpenGame:
         self._relation = relation
         self._states = states
         self._transport = transport
+        self._reach = reach
         self.trivial = trivial
         self.label = label
         self._play_cache = {}
@@ -115,16 +117,17 @@ class OpenGame:
         return lens
 
     def transport(self, sigma, k) -> TotalFn:
-        """The continuation `k` on the target pulled back to the source along `play(sigma)`.
-
-        Always equal to `apply_continuation(self.play(sigma), k)`.  A seq
-        game pulls `k` back through its second stage and then its first,
-        so no composite play lens is built and each stage lens keeps its
-        own table per continuation.
-        """
+        """`apply_continuation(self.play(sigma), k)`: `k` on the target pulled back
+        to the source, stage by stage in a seq game."""
         if self._transport is None:
             return apply_continuation(self.play(sigma), k)
         return self._transport(sigma, k)
+
+    def reach(self, sigma, hists) -> list:
+        """The history `play(sigma).view` hands on from each of `hists`, in order."""
+        if self._reach is None:
+            return list(map(self.play(sigma).view, hists))
+        return self._reach(sigma, hists)
 
     def best(self, history, continuation, sigma, deviation) -> bool:
         """Whether `deviation` is a best response to `sigma` at the context."""
@@ -341,6 +344,9 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
     def transport(st, k):
         return g.transport(st[0], h.transport(st[1], k))
 
+    def reach(st, hists):
+        return h.reach(st[1], g.reach(st[0], hists))
+
     def relation(hist, k, memo):
         # g is judged against the cut each second-stage strategy leaves, h at
         # the history each first-stage strategy hands on; a trivial g needs no cut.
@@ -360,7 +366,7 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
 
     return OpenGame(g.src, h.dst, strategies, play, relation, label="seq",
                     states=lambda hists, k: seq_states(g, h, hists, k, g.states, h.states),
-                    transport=transport, trivial=g.trivial and h.trivial)
+                    transport=transport, reach=reach, trivial=g.trivial and h.trivial)
 
 
 def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
@@ -370,6 +376,10 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
 
     def play(ss):
         return lens_tensor(g1.play(ss[0]), g2.play(ss[1]))
+
+    def reach(ss, hists):
+        return list(zip(g1.reach(ss[0], [x for x, _ in hists]),
+                        g2.reach(ss[1], [y for _, y in hists])))
 
     def relation(hist, k, memo):
         # A factor's continuation depends on the partner's move only, so
@@ -400,6 +410,7 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
 
     return OpenGame(src, dst, strategies, play, relation, label="tensor",
                     states=lambda hists, k: tensor_states(g1, g2, hists, k, g1.states, g2.states),
+                    reach=reach,
                     trivial=g1.trivial and g2.trivial)
 
 
@@ -416,6 +427,9 @@ def product_games(games) -> OpenGame:
         return copair_lenses(
             [lens_compose(g.play(sigma[j]), injections[j]) for j, g in enumerate(games)]
         )
+
+    def reach(sigma, hists):
+        return [Tag(x.side, games[x.side].reach(sigma[x.side], (x.value,))[0]) for x in hists]
 
     def relation(hist, k, memo):
         # Only the tagged child is played, so every other child may deviate freely.
@@ -434,6 +448,7 @@ def product_games(games) -> OpenGame:
 
     return OpenGame(src, dst, strategies, play, relation, label="product",
                     states=lambda hs, k: product_states(games, hs, k, [g.states for g in games]),
+                    reach=reach,
                     trivial=all(g.trivial for g in games))
 
 
@@ -444,7 +459,7 @@ def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> li
     firsts = {}  # second-stage state -> `first` against the cut it leaves
     out = []
     for s in g.strategies:
-        reached = frozenset(map(g.play(s).view, hists))
+        reached = frozenset(g.reach(s, hists))
         ts = seconds.get(reached)
         if ts is None:
             ts = seconds[reached] = second(reached, k)
@@ -459,49 +474,57 @@ def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> li
 
 def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) -> list:
     """Pairs (s1, s2): at each joint history, each factor in its rule's states
-    against the continuation its partner's move leaves."""
+    against the continuation its partner's move leaves.
+
+    A rule's states at several histories are its states at each, so a factor
+    is asked once per partner move, at the own histories meeting it, once a
+    strategy passes the moves before.  `expr._certificate` lists the same
+    contexts, none for an empty `hists`: change both together.
+    """
+    halves = ([x for x, _ in hists], [y for _, y in hists])
     kfs = {}  # (side, partner move) -> that factor's continuation under k
-    found = {}  # (side, own history, partner move) -> that factor's states
+    found = {}  # (side, partner move, own histories) -> that factor's states
 
-    def needs(side, partner):  # the sets one factor must lie in
-        own, rule, sets = (g1, g2)[side], (left, right)[side], []
-        for hist in hists:
-            move = partner.view(hist[1 - side])
-            key = (side, hist[side], move)
-            got = found.get(key)
-            if got is None:
-                kf = kfs.get((side, move))
-                if kf is None:
-                    kf = kfs[(side, move)] = factor_continuation(k, side, move, own.dst)
-                got = found[key] = set(rule((hist[side],), kf))
-            sets.append(got)
-        return sets
+    def contexts(side, partner):  # where one factor is judged, given the partner's strategy
+        meets = {}  # partner move -> the own histories meeting it
+        for move, mine in zip((g1, g2)[1 - side].reach(partner, halves[1 - side]), halves[side]):
+            meets.setdefault(move, []).append(mine)
+        return [(side, move, tuple(mine)) for move, mine in meets.items()]
 
-    # Left first: s1's right-hand needs are built only once some s2 passes.
-    lefts = {}  # s2 -> the sets s1 must lie in
+    def states_at(key):  # one factor's states at one context, asked once
+        got = found.get(key)
+        if got is None:
+            side, move, mine = key
+            kf = kfs.get((side, move))
+            if kf is None:
+                kf = kfs[(side, move)] = factor_continuation(k, side, move, (g1, g2)[side].dst)
+            got = found[key] = set((left, right)[side](mine, kf))
+        return got
+
+    # Left first: s1's right-hand contexts are listed only once some s2 passes.
+    lefts = {s2: contexts(0, s2) for s2 in g2.strategies}  # where s1 is judged
     out = []
     for s1 in g1.strategies:
         rights = None
         for s2 in g2.strategies:
-            left_needs = lefts.get(s2)
-            if left_needs is None:
-                left_needs = lefts[s2] = needs(0, g2.play(s2))
-            if not all(s1 in st for st in left_needs):
+            if not all(s1 in states_at(key) for key in lefts[s2]):
                 continue
             if rights is None:
-                rights = needs(1, g1.play(s1))
-            if all(s2 in st for st in rights):
+                rights = contexts(1, s1)
+            if all(s2 in states_at(key) for key in rights):
                 out.append((s1, s2))
     return out
 
 
 def product_states(games, hists, k: TotalFn, rules) -> list:
     """The product of each child's states at its tagged histories, since only the
-    tagged branch is played; a child with none is asked too."""
+    tagged branch is played; a child with none is asked too, until one has no states."""
     per_child = []
     for j, (g, rule) in enumerate(zip(games, rules)):
         mine = [hist.value for hist in hists if hist.side == j]
         per_child.append(rule(mine, branch_continuation(k, j, g.dst)))
+        if not per_child[-1]:
+            return []
     return list(itertools.product(*per_child))
 
 
@@ -509,30 +532,18 @@ def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
     """Pull the source boundary back along a lens into g's source."""
     if lens.cod != g.src:
         raise TypeMismatch("reindexing lens must land in the source boundary")
-    return OpenGame(
-        lens.dom,
-        g.dst,
-        g.strategies,
-        lambda s: lens_compose(lens, g.play(s)),
-        lambda h, k, memo: g.relation(lens.view(h), k, memo),
-        label=g.label,
-        trivial=g.trivial,
-    )
+    return OpenGame(lens.dom, g.dst, g.strategies, lambda s: lens_compose(lens, g.play(s)),
+                    lambda h, k, memo: g.relation(lens.view(h), k, memo),
+                    label=g.label, trivial=g.trivial)
 
 
 def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
     """Push the target boundary forward along a lens out of g's target."""
     if lens.dom != g.dst:
         raise TypeMismatch("reindexing lens must start at the target boundary")
-    return OpenGame(
-        g.src,
-        lens.cod,
-        g.strategies,
-        lambda s: lens_compose(g.play(s), lens),
-        lambda h, k, memo: g.relation(h, apply_continuation(lens, k), memo),
-        label=g.label,
-        trivial=g.trivial,
-    )
+    return OpenGame(g.src, lens.cod, g.strategies, lambda s: lens_compose(g.play(s), lens),
+                    lambda h, k, memo: g.relation(h, apply_continuation(lens, k), memo),
+                    label=g.label, trivial=g.trivial)
 
 
 def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
@@ -544,14 +555,7 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
         inner = g.relation(h, k, memo)
         return {s: tuple(d for d in f.dom if f(d) in inner[f(s)]) for s in f.dom}
 
-    return OpenGame(
-        g.src,
-        g.dst,
-        f.dom,
-        lambda s: g.play(f(s)),
-        relation,
-        label=g.label,
-    )
+    return OpenGame(g.src, g.dst, f.dom, lambda s: g.play(f(s)), relation, label=g.label)
 
 
 def copy_decision_composite(sets) -> OpenGame:

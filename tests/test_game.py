@@ -661,6 +661,22 @@ def test_transport_matches_apply_continuation_on_random_trees():
                     assert g.transport(s, k) == apply_continuation(g.play(s), k), (seed, g, s)
 
 
+def test_reach_matches_the_play_view_on_random_trees():
+    """Stage-wise reach equals the whole play lens's view at each history, in order."""
+    for seed in range(200):
+        rng = random.Random(f"reach/{seed}")
+        depth = rng.randint(1, 2)
+        g = _random_composite(rng, depth)[0] if seed % 2 else _random_reindexed(rng, depth)
+        games = [g]
+        if seed % 10 == 0:
+            games += [g for g, _ in _decision_composites(rng) + _plumbing_games(rng)]
+        for g in games:
+            hists = list(g.src.forward)
+            rng.shuffle(hists)
+            for s in g.strategies:
+                assert g.reach(s, hists) == list(map(g.play(s).view, hists)), (seed, g, s)
+
+
 @given(st.lists(
     st.one_of(st.integers(), st.text(max_size=3), st.tuples(st.integers(), st.text(max_size=2))),
     unique=True,

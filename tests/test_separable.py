@@ -140,8 +140,9 @@ def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
 # A shape describes a target boundary that a further stage can start at:
 # ("stage", sets) is (nested product of sets, Q^len(sets)), the target of a
 # copy decision; ("tensor", a, b) and ("product", shapes) are the targets of
-# tensors and products.  Product children are chains of equal length, so
-# they share one backward carrier.
+# tensors and products.  Product children are built from one form (a chain,
+# a tensor or a product of forms), so they share one backward carrier, and a
+# product is continued by the same number of stages after every stage.
 
 MAX_STRATEGIES = 1500
 
@@ -170,15 +171,48 @@ def _chain(rng, sets, length, empty):
     return Seq(first, rest), shape
 
 
+def _form(rng, depth):
+    """A form that several product children can share: (kind, ...) where a
+    chain is ("chain", stages before it or None for a decision, length)."""
+    kind = rng.choice(["chain", "chain", "tensor", "product"]) if depth else "chain"
+    if kind == "chain":
+        return ("chain", rng.choice([None, 0, 1]), rng.randint(1, 2))
+    if kind == "tensor":
+        return ("tensor", _form(rng, depth - 1), _form(rng, depth - 1))
+    return ("product", _form(rng, depth - 1))
+
+
+def _build(rng, form, empty):
+    """An expression of `form`, with its target shape."""
+    if form[0] == "chain":
+        _, stages, length = form
+        sets = None if stages is None else [_choices(rng, "p", empty) for _ in range(stages)]
+        return _chain(rng, sets, length, empty)
+    if form[0] == "tensor":
+        (left, dl), (right, dr) = (_build(rng, f, empty) for f in form[1:])
+        return Tensor(left, right), ("tensor", dl, dr)
+    children = [_build(rng, form[1], empty) for _ in range(rng.randint(1, 3))]
+    return Product(tuple(c for c, _ in children)), ("product", [d for _, d in children])
+
+
+def _extend(rng, shape, length, empty):
+    """`length` further stages after every stage of `shape`, keeping its form."""
+    if shape[0] == "stage":
+        return _chain(rng, shape[1], length, empty)
+    if shape[0] == "tensor":
+        (left, dl), (right, dr) = (_extend(rng, s, length, empty) for s in shape[1:])
+        return Tensor(left, right), ("tensor", dl, dr)
+    children = [_extend(rng, s, length, empty) for s in shape[1]]
+    return Product(tuple(c for c, _ in children)), ("product", [d for _, d in children])
+
+
 def _grow(rng, depth, src, empty):
     """A random expression starting at shape `src` (None: anywhere), with its target shape."""
     if src is not None and src[0] == "tensor":
         (left, dl), (right, dr) = (_grow(rng, depth, s, empty) for s in src[1:])
         return Tensor(left, right), ("tensor", dl, dr)
     if src is not None and src[0] == "product":
-        length = rng.randint(1, 2)
-        children = [_chain(rng, s[1], length, empty) for s in src[1]]
-        return Product(tuple(c for c, _ in children)), ("product", [d for _, d in children])
+        return _extend(rng, src, rng.randint(1, 2), empty)
     ops = ["leaf", "seq"] if src else ["leaf", "seq", "tensor", "product"]
     op = rng.choice(ops) if depth else "leaf"
     if op == "leaf":
@@ -193,14 +227,7 @@ def _grow(rng, depth, src, empty):
     if op == "tensor":
         (left, dl), (right, dr) = (_grow(rng, depth - 1, None, empty) for _ in range(2))
         return Tensor(left, right), ("tensor", dl, dr)
-    stages = rng.choice([None, 0, 1])  # decisions, or copy decisions after that many stages
-    length = rng.randint(1, 2)
-    children = [
-        _chain(rng, None if stages is None else [_choices(rng, f"p{j}_", empty)
-                                                 for _ in range(stages)], length, empty)
-        for j in range(rng.randint(1, 3))
-    ]
-    return Product(tuple(c for c, _ in children)), ("product", [d for _, d in children])
+    return _build(rng, ("product", _form(rng, depth)), empty)
 
 
 def _size(expr):
@@ -224,12 +251,25 @@ def _value(rng, carrier):
     return rng.choice(carrier.elements)
 
 
-def _random_trees(seed, count, empty):
-    """`count` random trees, each with a random continuation on its target."""
+def _any_tree(rng, empty):
+    return _grow(rng, rng.randint(2, 3), None, empty)[0]
+
+
+def _product_at_cuts(rng, empty):
+    """seq(product of tensors or of products, further stages): the product is
+    certified once per cut the second stage leaves."""
+    inner = rng.choice([("tensor", _form(rng, 0), _form(rng, 0)), ("product", _form(rng, 0))])
+    first, mid = _build(rng, ("product", inner), empty)
+    second, _ = _extend(rng, mid, rng.randint(1, 2), empty)
+    return Seq(first, second)
+
+
+def _random_trees(seed, count, empty, make=_any_tree):
+    """`count` random trees from `make`, each with a random continuation on its target."""
     rng = random.Random(f"separable/{seed}")
     out = []
     while len(out) < count:
-        expr, _ = _grow(rng, rng.randint(2, 3), None, empty)
+        expr = make(rng, empty)
         if isinstance(expr, Atom) or _size(expr) > MAX_STRATEGIES:
             continue
         game = eval_expr(expr)
@@ -300,7 +340,8 @@ def _check_all_witnesses(expr, k):
 def test_separable_states_match_the_reference_on_random_trees():
     """Same profiles, same order and the same witnesses as the per-node recursion."""
     kinds, found = set(), 0
-    for expr, k in _random_trees(0, 250, empty=False):
+    trees = _random_trees(0, 250, empty=False) + _random_trees(2, 60, False, _product_at_cuts)
+    for expr, k in trees:
         kinds |= {type(node).__name__ for node in _nodes(expr)}
         got = separable_states_over(expr, k)
         want = _reference_separable_states_over(expr, k)
@@ -315,7 +356,7 @@ def test_separable_states_match_the_reference_on_random_trees():
 
 def test_witnesses_rederive_on_random_trees_with_empty_sets():
     empty_joint = 0
-    for expr, k in _random_trees(1, 300, empty=True):
+    for expr, k in _random_trees(1, 300, True) + _random_trees(3, 60, True, _product_at_cuts):
         _check_all_witnesses(expr, k)
         empty_joint += any(
             isinstance(node, Tensor) and len(eval_expr(node).src.forward) == 0
