@@ -28,7 +28,6 @@ from .cells import (
     seq_lunit_cell,
     unit_split_cell,
 )
-from .classical import brute_nash, normalize_extensive, oracle_spe
 from .dsl import format_document, parse_document
 from .errors import EngineError, SourceError, TypeMismatch
 from .expr import eval_expr
@@ -47,7 +46,7 @@ from .sampling import (
     random_game,
     random_lens_chain,
 )
-from .solve import SolutionReport, solve_expr, solve_normal_form, solve_sequential
+from .solve import SOLVERS, solve
 
 
 class UsageError(Exception):
@@ -148,18 +147,12 @@ def _render_text(report) -> str:
 # solve
 # ---------------------------------------------------------------------------
 
-_MODE_KINDS = {
-    "states": ("expr",),
-    "separable": ("expr",),
-    "nash": ("normal-form", "sequential", "extensive"),
-    "spe": ("sequential", "extensive"),
-}
-
 
 def _pick_target(doc, mode, wanted):
-    allowed = _MODE_KINDS[mode]
+    allowed = [kind for kind, m in SOLVERS if m == mode]
+    solvable = [d for d in doc.declarations if d[0] in {kind for kind, _ in SOLVERS}]
     if wanted is not None:
-        for kind, name in doc.solvables:
+        for kind, name in solvable:
             if name == wanted:
                 if kind not in allowed:
                     raise UsageError(
@@ -168,7 +161,7 @@ def _pick_target(doc, mode, wanted):
                     )
                 return kind, name
         raise UsageError(f"no solvable declaration named `{wanted}`")
-    for kind, name in reversed(doc.solvables):
+    for kind, name in reversed(solvable):
         if kind in allowed:
             return kind, name
     raise UsageError(f"the document declares nothing solvable in mode {mode}")
@@ -194,28 +187,13 @@ def _expr_continuation(doc, expr_name, flag):
     return k
 
 
-def _solve_target(doc, kind, name, args) -> SolutionReport:
-    if kind == "expr":
-        k = _expr_continuation(doc, name, args.continuation)
-        return solve_expr(doc.exprs[name], k, args.mode)
-    if kind == "normal-form":
-        return solve_normal_form(doc.normal_forms[name])
-    if kind == "sequential":
-        return solve_sequential(doc.sequentials[name], args.mode)
-    eg = doc.extensives[name]
-    if args.mode == "nash":
-        profiles = brute_nash(normalize_extensive(eg))
-    else:
-        profiles = oracle_spe(eg)
-    return SolutionReport(args.mode, "", tuple(profiles), ())
-
-
 def _cmd_solve(args):
     doc = parse_document(_read_input(args.input))
     kind, name = _pick_target(doc, args.mode, args.expr)
-    if args.continuation is not None and args.mode not in ("states", "separable"):
+    if args.continuation is not None and kind != "expr":
         raise UsageError("--continuation only applies to states and separable")
-    body = _solve_target(doc, kind, name, args).to_json(args.max_table)
+    k = _expr_continuation(doc, name, args.continuation) if kind == "expr" else None
+    body = solve(kind, doc.target(kind, name), args.mode, k).to_json(args.max_table)
     return args.input, body["results"], body.get("witnesses", []), 0
 
 
@@ -326,8 +304,8 @@ def bundled_document_text(name=_DEMO_PATH) -> str:
 def _cmd_demo(args):
     doc = parse_document(bundled_document_text())
     k = _expr_continuation(doc, "H", None)
-    states = solve_expr(doc.exprs["H"], k, "states").to_json(args.max_table)
-    separable = solve_expr(doc.exprs["H"], k, "separable").to_json(args.max_table)
+    states = solve("expr", doc.exprs["H"], "states", k).to_json(args.max_table)
+    separable = solve("expr", doc.exprs["H"], "separable", k).to_json(args.max_table)
     results = [
         {"mode": "states", "profiles": states["results"]},
         {"mode": "separable", "profiles": separable["results"]},

@@ -208,9 +208,12 @@ class Document:
     normal_forms: dict
     sequentials: dict
     extensives: dict
-    solvables: list  # (kind, name) in declaration order
     declarations: list  # every (kind, name) in declaration order
     forms: list
+
+    def target(self, kind, name):
+        """The declaration `name` of `kind`, read from that kind's table."""
+        return getattr(self, _TABLES[kind])[name]
 
 
 def _err(node, message):
@@ -256,7 +259,7 @@ def _need_int(node, what):
 class _Analyzer:
     def __init__(self, forms):
         self.forms = forms
-        self.doc = Document({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [], [], list(forms))
+        self.doc = Document({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [], list(forms))
         self.kinds = {"unit": "set", "I": "diset"}
 
     def run(self) -> Document:
@@ -532,7 +535,6 @@ class _Analyzer:
         name = _need_atom(items[1], "an expression name")
         expr = self._expr(items[2])
         self._declare(items[1], "expr", name, expr)
-        self.doc.solvables.append(("expr", name))
 
     def _expr(self, node) -> GameExpr:
         if node.is_atom:
@@ -595,12 +597,10 @@ class _Analyzer:
     def _form_normal_form(self, form, items):
         name, game, node = self._classical(form, items, normal_form)
         self._declare(node, "normal-form", name, game)
-        self.doc.solvables.append(("normal-form", name))
 
     def _form_sequential(self, form, items):
         name, game, node = self._classical(form, items, sequential_game)
         self._declare(node, "sequential", name, game)
-        self.doc.solvables.append(("sequential", name))
 
     def _form_extensive(self, form, items):
         if len(items) < 4:
@@ -616,7 +616,6 @@ class _Analyzer:
             groups.append(tuple(_need_atom(i, "a node id") for i in parts[1:]))
         game = self._engine(items[1], ExtensiveGame, root, players, tuple(groups))
         self._declare(items[1], "extensive", name, game)
-        self.doc.solvables.append(("extensive", name))
 
     def _tree_node(self, node) -> TreeNode:
         items = _need_list(node, "a tree node")

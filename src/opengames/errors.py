@@ -10,7 +10,7 @@ class DuplicateElement(EngineError):
 
 
 class EnumerationBound(EngineError):
-    """Raised when an exhaustive enumeration would exceed the configured bound."""
+    """Raised when an exhaustive enumeration would exceed `finite.DEFAULT_BOUND`."""
 
 
 class TypeMismatch(EngineError):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import DuplicateElement, EnumerationBound, TypeMismatch
 
-#: Default ceiling for exhaustive enumerations (function spaces, equality tables).
+#: Ceiling for every exhaustive enumeration (function spaces, equality tables).
 DEFAULT_BOUND = 10**6
 
 
@@ -221,26 +221,11 @@ class PairCarrier:
         return f"({self.fst!r} x {self.snd!r})"
 
 
-@dataclass(frozen=True)
-class SumCarrier:
-    parts: tuple
-
-    def __repr__(self):
-        return "(" + " + ".join(repr(p) for p in self.parts) + ")"
-
-
 def tensor_carrier(a, b):
     """Backward space of a tensor; two finite sets collapse to a concrete one."""
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
         return product_set(a, b)
     return PairCarrier(a, b)
-
-
-def sum_carrier(parts):
-    parts = tuple(parts)
-    if all(isinstance(p, FiniteSet) for p in parts):
-        return tagged_union(parts)
-    return SumCarrier(parts)
 
 
 def is_enumerable(carrier) -> bool:
@@ -250,8 +235,6 @@ def is_enumerable(carrier) -> bool:
         return carrier.dim == 0
     if isinstance(carrier, PairCarrier):
         return is_enumerable(carrier.fst) and is_enumerable(carrier.snd)
-    if isinstance(carrier, SumCarrier):
-        return all(is_enumerable(p) for p in carrier.parts)
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
 
@@ -270,12 +253,6 @@ def carrier_contains(carrier, v) -> bool:
             and len(v) == 2
             and carrier_contains(carrier.fst, v[0])
             and carrier_contains(carrier.snd, v[1])
-        )
-    if isinstance(carrier, SumCarrier):
-        return (
-            isinstance(v, Tag)
-            and v.side < len(carrier.parts)
-            and carrier_contains(carrier.parts[v.side], v.value)
         )
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
@@ -312,11 +289,6 @@ def probe_values(carrier) -> list:
         return vecs
     if isinstance(carrier, PairCarrier):
         return [(x, y) for x in probe_values(carrier.fst) for y in probe_values(carrier.snd)]
-    if isinstance(carrier, SumCarrier):
-        out = []
-        for j, p in enumerate(carrier.parts):
-            out.extend(Tag(j, v) for v in probe_values(p))
-        return out
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
 
@@ -403,12 +375,12 @@ def const_fn(dom: FiniteSet, cod, value) -> TotalFn:
     return TotalFn(dom, cod, tuple(value for _ in dom))
 
 
-def enumerate_functions(dom: FiniteSet, cod: FiniteSet, bound: int = DEFAULT_BOUND):
+def enumerate_functions(dom: FiniteSet, cod: FiniteSet):
     """All total functions dom -> cod in canonical (codomain-lexicographic) order."""
     count = len(cod) ** len(dom)
-    if count > bound:
+    if count > DEFAULT_BOUND:
         raise EnumerationBound(
-            f"{len(cod)}^{len(dom)} = {count} functions exceeds bound {bound}"
+            f"{len(cod)}^{len(dom)} = {count} functions exceeds bound {DEFAULT_BOUND}"
         )
     return [
         _derived_fn(dom, cod, vals)

@@ -31,8 +31,9 @@ ones, filter every strategy through their relation.
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
 product of trivial games and their reindexed boundaries.  Their relation
-is read off without a continuation or a memo entry, and seq, tensor and
-product build no cut, factor or branch continuation for a trivial part.
+is read off without a continuation or a memo entry, and the seq, tensor
+and product `relation` rules build no cut, factor or branch continuation
+for a trivial part; the states joins still do.
 
 A seq game pulls a continuation back to its cut stage by stage
 (`OpenGame.transport`), and seq, tensor and product games hand histories
@@ -49,7 +50,6 @@ import itertools
 
 from .errors import EmptyChoiceSet, TypeMismatch
 from .finite import (
-    DEFAULT_BOUND,
     FiniteSet,
     Payoff,
     Tag,
@@ -266,11 +266,11 @@ def utility_game(payout: TotalFn, label="utility") -> OpenGame:
     return trivial_game(effect_lens(d, payout), label=label)
 
 
-def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame:
+def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
     """A single maximizing decision (X, 1) -|> (Y, Q^1) over all functions X -> Y."""
     if len(y) == 0:
         raise EmptyChoiceSet("decision needs a nonempty choice set")
-    strategies = _derived_set(tuple(enumerate_functions(x, y, bound)))
+    strategies = _derived_set(tuple(enumerate_functions(x, y)))
     src = Diset(x, UNIT_SET)
     dst = Diset(y, Payoff(1))
 
@@ -288,7 +288,7 @@ def decision(x: FiniteSet, y: FiniteSet, bound: int = DEFAULT_BOUND) -> OpenGame
     return OpenGame(src, dst, strategies, play, relation, label="decision", states=states)
 
 
-def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
+def copy_decision(sets) -> OpenGame:
     """A decision that republishes its inputs: history in, history plus choice out.
 
     Stage n of a sequential protocol: sees the first n-1 moves, plays the
@@ -305,7 +305,7 @@ def copy_decision(sets, bound: int = DEFAULT_BOUND) -> OpenGame:
     out = nested_product(sets)
     src = Diset(hist, Payoff(n - 1))
     dst = Diset(out, Payoff(n))
-    strategies = _derived_set(tuple(enumerate_functions(hist, last, bound)))
+    strategies = _derived_set(tuple(enumerate_functions(hist, last)))
     drop = USecond(MapTree(Payoff(n), Payoff(n - 1), leaf((), take=tuple(range(n - 1)))))
 
     def play(s):
@@ -360,6 +360,7 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
             for t in h.strategies:
                 firsts = cuts[t][s]
                 if firsts and seconds is None:
+                    # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
                     seconds = h.relation(g.play(s).view(hist), k, memo)
                 out[(s, t)] = _row_product(built, firsts, seconds[t]) if firsts else ()
         return out
@@ -390,6 +391,7 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
             own, other = (g1, g2)[side], (g1, g2)[1 - side]
             if own.trivial:
                 return _trivial_relation(own)
+            # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
             move = other.play(partner).view(hist[1 - side])
             rel = by_move.get((side, move))
             if rel is None:

@@ -410,7 +410,7 @@ def swap_lens(a: Diset, b: Diset) -> Lens:
 # ---------------------------------------------------------------------------
 
 
-def _update_samples(l: Lens, bound: int):
+def _update_samples(l: Lens):
     back = l.cod.backward
     if not is_enumerable(back):
         kinds = set()
@@ -420,19 +420,19 @@ def _update_samples(l: Lens, bound: int):
             raise TypeMismatch(f"unsanctioned update constructors: {sorted(unknown)}")
     rs = probe_values(back)
     total = len(l.dom.forward) * len(rs)
-    if total > bound:
-        raise EnumerationBound(f"{total} update probes exceed bound {bound}")
+    if total > DEFAULT_BOUND:
+        raise EnumerationBound(f"{total} update probes exceed bound {DEFAULT_BOUND}")
     return rs
 
 
-def lenses_equal(a: Lens, b: Lens, bound: int = DEFAULT_BOUND) -> bool:
+def lenses_equal(a: Lens, b: Lens) -> bool:
     if a is b:
         return True
     if a.dom != b.dom or a.cod != b.cod:
         return False
     if a.view != b.view:
         return False
-    rs = _update_samples(a, bound)
+    rs = _update_samples(a)
     for x in a.dom.forward:
         for r in rs:
             if a.update_at(x, r) != b.update_at(x, r):
@@ -490,12 +490,12 @@ def right_context(left_play: Lens, c: Context, right_dst: Diset) -> Context:
     return Context(h2, factor_continuation(c.continuation, 1, left_play.view(h1), right_dst))
 
 
-def default_continuations(d: Diset, bound: int = DEFAULT_BOUND):
+def default_continuations(d: Diset):
     """All continuations when the backward carrier is enumerable, probes otherwise."""
     vals = probe_values(d.backward)
     count = len(vals) ** len(d.forward)
-    if count > bound:
-        raise EnumerationBound(f"{count} continuations exceed bound {bound}")
+    if count > DEFAULT_BOUND:
+        raise EnumerationBound(f"{count} continuations exceed bound {DEFAULT_BOUND}")
     return [
         _derived_fn(d.forward, d.backward, vs)
         for vs in itertools.product(vals, repeat=len(d.forward))

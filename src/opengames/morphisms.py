@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, NotAState, TypeMismatch
-from .finite import DEFAULT_BOUND, TotalFn, UNIT_SET, compose_fn, total_fn
+from .finite import TotalFn, UNIT_SET, compose_fn, total_fn
 from .lenses import (
     Lens,
     UNIT_DISET,
@@ -66,10 +66,10 @@ def identity_morphism(g: OpenGame) -> GameMorphism:
     )
 
 
-def morphisms_equal(a: GameMorphism, b: GameMorphism, bound: int = DEFAULT_BOUND) -> bool:
+def morphisms_equal(a: GameMorphism, b: GameMorphism) -> bool:
     return (
-        lenses_equal(a.s_lens, b.s_lens, bound)
-        and lenses_equal(a.t_lens, b.t_lens, bound)
+        lenses_equal(a.s_lens, b.s_lens)
+        and lenses_equal(a.t_lens, b.t_lens)
         and a.sigma_map == b.sigma_map
     )
 
@@ -84,12 +84,12 @@ class MorphismCheck:
         return self.ok
 
 
-def _continuations(d, supplied, bound):
+def _continuations(d, supplied):
     """The continuations on `d` to check: all of them or the probes, then `supplied`.
 
     A supplied continuation must live on `d`; one already listed is dropped.
     """
-    ks = list(default_continuations(d, bound))
+    ks = list(default_continuations(d))
     seen = set(ks)
     for k in supplied or ():
         if k.dom != d.forward:
@@ -100,9 +100,7 @@ def _continuations(d, supplied, bound):
     return ks
 
 
-def check_morphism(
-    m: GameMorphism, continuations=None, bound: int = DEFAULT_BOUND
-) -> MorphismCheck:
+def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
     """Exhaustively validate both morphism axioms.
 
     Axiom 1 compares play squares lens-extensionally for every strategy.
@@ -122,9 +120,9 @@ def check_morphism(
     for s in g.strategies:
         left = lens_compose(m.s_lens, g.play(s))
         right = lens_compose(g2.play(m.sigma_map(s)), m.t_lens)
-        if not lenses_equal(left, right, bound):
+        if not lenses_equal(left, right):
             return MorphismCheck(False, 1, (s,))
-    ks = _continuations(g.dst, continuations, bound)
+    ks = _continuations(g.dst, continuations)
     image = dict(zip(m.sigma_map.dom, m.sigma_map.values))
     memo = {}
     for h in g2.src.forward:
@@ -162,12 +160,12 @@ def vcompose(first: GameMorphism, then: GameMorphism) -> GameMorphism:
     )
 
 
-def hcompose(left: GameMorphism, right: GameMorphism, bound: int = DEFAULT_BOUND) -> GameMorphism:
+def hcompose(left: GameMorphism, right: GameMorphism) -> GameMorphism:
     """Horizontal composite over a shared middle boundary; `left` plays first.
 
     The middle legs (target leg of `left`, source leg of `right`) must agree.
     """
-    if not lenses_equal(left.t_lens, right.s_lens, bound):
+    if not lenses_equal(left.t_lens, right.s_lens):
         raise BoundaryMismatch("middle boundary legs differ")
     src_comp = seq_compose(left.source_game, right.source_game)
     dst_comp = seq_compose(left.target_game, right.target_game)
@@ -221,14 +219,14 @@ def state_to_morphism(game: OpenGame, cert: StateCert) -> GameMorphism:
     )
 
 
-def morphism_to_state(m: GameMorphism, bound: int = DEFAULT_BOUND) -> StateCert:
+def morphism_to_state(m: GameMorphism) -> StateCert:
     src = m.source_game
     if src.src != UNIT_DISET or src.dst != UNIT_DISET or len(src.strategies) != 1:
         raise NotAState("source is not the trivial game on the unit diset")
     sigma = m.sigma_map(next(iter(src.strategies)))
     k = lens_to_continuation(m.t_lens)
     forced = lens_compose(m.target_game.play(sigma), m.t_lens)
-    if not lenses_equal(m.s_lens, forced, bound):
+    if not lenses_equal(m.s_lens, forced):
         raise NotAState("source leg is not the transported continuation")
     if not is_state(m.target_game, sigma, k):
         raise NotAState("diagonal best response fails")
@@ -263,9 +261,7 @@ def product_mediator(morphisms, product_game: OpenGame) -> GameMorphism:
 # ---------------------------------------------------------------------------
 
 
-def find_globular_iso(
-    g1: OpenGame, g2: OpenGame, continuations=None, bound: int = DEFAULT_BOUND
-):
+def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     """Search for a strategy bijection making g1 and g2 the same game.
 
     Strategies are first grouped by play lens; candidate bijections must
@@ -287,7 +283,7 @@ def find_globular_iso(
         for s in game.strategies:
             lens = game.play(s)
             for rep_lens, members in reps:
-                if lenses_equal(lens, rep_lens, bound):
+                if lenses_equal(lens, rep_lens):
                     members.append(s)
                     break
             else:
@@ -304,14 +300,14 @@ def find_globular_iso(
         for j, (lens2, members2) in enumerate(c2):
             if j in used:
                 continue
-            if len(members1) == len(members2) and lenses_equal(lens1, lens2, bound):
+            if len(members1) == len(members2) and lenses_equal(lens1, lens2):
                 pairing.append((members1, members2))
                 used.add(j)
                 break
         else:
             return None
 
-    ks = _continuations(g1.dst, continuations, bound)
+    ks = _continuations(g1.dst, continuations)
     contexts = [(h, k) for h in g1.src.forward for k in ks]
     memo = {}
 

@@ -75,9 +75,9 @@ def random_continuation(rng, d: Diset) -> TotalFn:
     return random_total_fn(rng, d.forward, d.backward)
 
 
-def sample_continuations(rng, d: Diset, count: int, bound: int = 4096):
+def sample_continuations(rng, d: Diset, count: int):
     """Up to `count` distinct continuations on a diset, without replacement."""
-    pool = default_continuations(d, bound)
+    pool = default_continuations(d)
     if len(pool) <= count:
         return pool
     return rng.sample(pool, count)

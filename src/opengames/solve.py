@@ -3,14 +3,21 @@
 Simultaneous play becomes a tensor of one-shot choices; staged play
 becomes a chain of observed choices.  Equilibria are then read off the
 generic machinery: plain states for Nash behaviour, separable states
-for the subgame-perfect refinement.
+for the subgame-perfect refinement.  `solve` runs every `og solve`
+through one table, `SOLVERS`, keyed by (kind of target, mode).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import NormalFormGame, SequentialGame
+from .classical import (
+    NormalFormGame,
+    SequentialGame,
+    brute_nash,
+    normalize_extensive,
+    oracle_spe,
+)
 from .errors import TypeMismatch
 from .expr import (
     Atom,
@@ -30,7 +37,6 @@ from .finite import (
     _derived_fn,
     flat_product,
     flatten_value,
-    format_value,
     nest_value,
     value_to_json,
 )
@@ -149,17 +155,12 @@ class SolutionReport:
     """What a solve run found, ready for rendering."""
 
     mode: str
-    description: str
     profiles: tuple
     certificates: tuple  # empty unless the mode produces them
-
-    def rendered(self):
-        return [format_value(p) for p in self.profiles]
 
     def to_json(self, max_table: int = 16):
         body = {
             "mode": self.mode,
-            "game": self.description,
             "count": len(self.profiles),
             "results": [value_to_json(p) for p in self.profiles],
         }
@@ -170,35 +171,29 @@ class SolutionReport:
         return body
 
 
-def solve_expr(expr: GameExpr, continuation: TotalFn, mode: str, description: str = ""):
-    if mode == "states":
-        return SolutionReport(mode, description, tuple(states_over(expr, continuation)), ())
-    if mode == "separable":
-        pairs = separable_states_over(expr, continuation)
-        return SolutionReport(
-            mode,
-            description,
-            tuple(p for p, _ in pairs),
-            tuple(c for _, c in pairs),
-        )
-    raise TypeMismatch(f"unknown mode {mode!r}")
+def _certified(pairs):
+    """[(profile, certificate)] -> (profiles, certificates)."""
+    return tuple(p for p, _ in pairs), tuple(c for _, c in pairs)
 
 
-def solve_normal_form(nf: NormalFormGame, description: str = ""):
-    return SolutionReport(
-        "nash", description, tuple(nash_normal_form(nf)), ()
-    )
+# The one solve dispatch: (kind of target, state notion) -> solver of
+# (target, continuation) returning (profiles, certificates).  Each entry
+# reads its engine function from this module's globals at call time, so
+# a wrapper that replaces one of those names here also sees these calls.
+SOLVERS = {
+    ("expr", "states"): lambda e, k: (tuple(states_over(e, k)), ()),
+    ("expr", "separable"): lambda e, k: _certified(separable_states_over(e, k)),
+    ("normal-form", "nash"): lambda nf, _: (tuple(nash_normal_form(nf)), ()),
+    ("sequential", "nash"): lambda sq, _: (tuple(nash_sequential(sq)), ()),
+    ("sequential", "spe"): lambda sq, _: _certified(spe_sequential(sq)),
+    ("extensive", "nash"): lambda eg, _: (tuple(brute_nash(normalize_extensive(eg))), ()),
+    ("extensive", "spe"): lambda eg, _: (tuple(oracle_spe(eg)), ()),
+}
 
 
-def solve_sequential(sq: SequentialGame, mode: str, description: str = ""):
-    if mode == "nash":
-        return SolutionReport(mode, description, tuple(nash_sequential(sq)), ())
-    if mode == "spe":
-        pairs = spe_sequential(sq)
-        return SolutionReport(
-            mode,
-            description,
-            tuple(p for p, _ in pairs),
-            tuple(c for _, c in pairs),
-        )
-    raise TypeMismatch(f"unknown mode {mode!r}")
+def solve(kind: str, target, mode: str, continuation: TotalFn | None = None):
+    """Solve `target`, a declaration of `kind`, in `mode`; `continuation` closes an expr."""
+    solver = SOLVERS.get((kind, mode))
+    if solver is None:
+        raise TypeMismatch(f"mode {mode} does not solve a {kind}")
+    return SolutionReport(mode, *solver(target, continuation))

@@ -23,8 +23,9 @@ from opengames.errors import (
     DocumentTypeError,
     NameResolutionError,
     ParseError,
+    TypeMismatch,
 )
-from opengames.solve import nash_normal_form
+from opengames.solve import SOLVERS, nash_normal_form, solve
 
 PD_DOC = """\
 (set MOVE (C D))
@@ -53,6 +54,21 @@ TREE_DOC = """\
 (extensive PICK 1
   (node r 1 (L (leaf a (1))) (R (leaf b (0)))))
 """
+
+
+ALL_KINDS_DOC = TREE_DOC + PD_DOC.replace(
+    "(normal-form", "(sequential STAGED (MOVE MOVE) PD)\n(normal-form"
+) + """\
+(game FIRST (copy-decision MOVE))
+(game SECOND (copy-decision MOVE MOVE))
+(game CLOSE (utility PD))
+(expr WHOLE (seq (seq FIRST SECOND) CLOSE))
+"""
+
+
+def solvables(doc):
+    """The declarations some `SOLVERS` entry can solve, in declaration order."""
+    return [d for d in doc.declarations if d[0] in {kind for kind, _ in SOLVERS}]
 
 
 # ---------- reading ----------
@@ -123,7 +139,7 @@ def test_document_tables_and_declaration_order():
         ("game", "CLOSE"),
         ("expr", "WHOLE"),
     ]
-    assert doc.solvables == [
+    assert solvables(doc) == [
         ("normal-form", "PDGAME"),
         ("expr", "CHAIN"),
         ("expr", "WHOLE"),
@@ -248,7 +264,7 @@ def test_row_errors_print_values_as_written():
 def test_market_document_round_trips():
     text = bundled_document_text()
     doc = parse_document(text)
-    assert doc.solvables[-1] == ("extensive", "MARKET-TREE")
+    assert solvables(doc)[-1] == ("extensive", "MARKET-TREE")
     original = [skeleton(n) for n in parse_sexprs(text)]
     reprinted = parse_sexprs(format_document(doc.forms))
     assert [skeleton(n) for n in reprinted] == original
@@ -323,6 +339,33 @@ def test_solve_picks_the_last_compatible_target(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["results"] == [[["D", "[C->D, D->D]"], "*"]]
+
+
+def test_each_mode_picks_its_last_compatible_kind(tmp_path, capsys):
+    """The kinds a mode accepts, and so its default target, come from `SOLVERS`."""
+    path = write_doc(tmp_path, ALL_KINDS_DOC)
+    picks = {"states": "WHOLE", "separable": "WHOLE", "nash": "PDGAME", "spe": "STAGED"}
+    for mode, name in picks.items():
+        argv = ["solve", "--input", path, "--mode", mode]
+        picked = run_cli(capsys, argv)
+        assert picked[0] == 0
+        assert picked == run_cli(capsys, argv + ["--expr", name])
+    needs = {
+        "states": "expr",
+        "separable": "expr",
+        "nash": "normal-form, sequential, extensive",
+        "spe": "sequential, extensive",
+    }
+    for mode, kinds in needs.items():
+        name, kind = ("PICK", "extensive") if kinds == "expr" else ("WHOLE", "expr")
+        code, _, err = run_cli(
+            capsys, ["solve", "--input", path, "--mode", mode, "--expr", name]
+        )
+        assert code == 2
+        assert err == f"usage error: `{name}` is a {kind}; mode {mode} needs one of: {kinds}\n"
+    doc = parse_document(ALL_KINDS_DOC)
+    with pytest.raises(TypeMismatch):
+        solve("normal-form", doc.target("normal-form", "PDGAME"), "spe")
 
 
 def test_solve_extensive_targets(tmp_path, capsys):
@@ -485,6 +528,15 @@ def test_spe_report_matches_golden_file(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "spe"])
     assert code == 0
     assert out == (GOLDEN / "three_stage_spe.json").read_text(encoding="utf-8")
+
+
+def test_market_tree_reports_match_golden_files(capsys, monkeypatch):
+    """The extensive entries of the solve dispatch, pinned on MARKET-TREE byte for byte."""
+    for mode in ("nash", "spe"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(bundled_document_text()))
+        code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", mode])
+        assert code == 0
+        assert out == (GOLDEN / f"market_tree_{mode}.json").read_text(encoding="utf-8")
 
 
 def test_parse_subcommand_json_and_text(tmp_path, capsys):

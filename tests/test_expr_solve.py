@@ -27,16 +27,22 @@ from opengames.expr import (
     separable_states_over,
     states_over,
 )
-from opengames.finite import Payoff, UNIT, UNIT_SET, flatten_value, make_set, total_fn
+from opengames.finite import (
+    Payoff,
+    UNIT,
+    UNIT_SET,
+    flatten_value,
+    format_value,
+    make_set,
+    total_fn,
+)
 from opengames.games import copy_decision, decision
 from opengames.sampling import random_normal_form, random_sequential
 from opengames.solve import (
     build_sequential_expr,
     nash_normal_form,
     nash_sequential,
-    solve_expr,
-    solve_normal_form,
-    solve_sequential,
+    solve,
     spe_sequential,
 )
 
@@ -83,9 +89,9 @@ def test_nash_matches_brute_force(rng):
 
 
 def test_solve_normal_form_report():
-    report = solve_normal_form(PD, description="pd")
+    report = solve("normal-form", PD, "nash")
     assert report.mode == "nash"
-    assert report.rendered() == ["(D, D)"]
+    assert [format_value(p) for p in report.profiles] == ["(D, D)"]
     body = report.to_json()
     assert body["count"] == 1
     assert "witnesses" not in body
@@ -139,11 +145,11 @@ def test_refined_solutions_are_solutions(rng):
 
 def test_solve_sequential_modes():
     sq = ultimatum()
-    assert solve_sequential(sq, "nash").mode == "nash"
-    report = solve_sequential(sq, "spe")
+    assert solve("sequential", sq, "nash").mode == "nash"
+    report = solve("sequential", sq, "spe")
     assert len(report.profiles) == len(report.certificates) == 1
     with pytest.raises(TypeMismatch):
-        solve_sequential(sq, "minimax")
+        solve("sequential", sq, "minimax")
 
 
 # ---------- structural properties of the tree solvers ----------
@@ -466,11 +472,11 @@ def test_separable_checks_the_continuation_boundary():
 def test_solve_expr_modes():
     expr = Atom(decision(UNIT_SET, MOVES))
     k = total_fn(MOVES, Payoff(1), {"C": (Q(0),), "D": (Q(1),)})
-    assert len(solve_expr(expr, k, "states").profiles) == 1
-    report = solve_expr(expr, k, "separable")
+    assert len(solve("expr", expr, "states", k).profiles) == 1
+    report = solve("expr", expr, "separable", k)
     assert len(report.certificates) == 1
     with pytest.raises(TypeMismatch):
-        solve_expr(expr, k, "nash")
+        solve("expr", expr, "nash", k)
 
 
 # ---------- rendering ----------

@@ -329,10 +329,9 @@ def test_lenses_equal_rejects_unsanctioned_updates():
 
 
 def test_lenses_equal_bound():
-    big = make_set(list(range(40)))
-    d = Diset(big, big)
-    with pytest.raises(EnumerationBound):
-        lenses_equal(lens_identity(d), lens_identity(d), bound=100)
+    d = Diset(make_set(list(range(1001))), make_set(list(range(1000))))
+    with pytest.raises(EnumerationBound):  # 1001 x 1000 update probes > 10^6
+        lenses_equal(lens_identity(d), lens_identity(d))
 
 
 def test_default_continuations_bound_and_order():
@@ -340,8 +339,8 @@ def test_default_continuations_bound_and_order():
     ks = default_continuations(d)
     assert len(ks) == 4
     assert ks[0].values == ("r", "r")
-    with pytest.raises(EnumerationBound):
-        default_continuations(d, bound=3)
+    with pytest.raises(EnumerationBound):  # 2^20 > 10^6, counted before building
+        default_continuations(Diset(make_set(list(range(20))), d.backward))
 
 
 # ---------- tables that need no rebuild ----------

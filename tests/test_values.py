@@ -10,7 +10,6 @@ from opengames.errors import DuplicateElement, EnumerationBound, TypeMismatch
 from opengames.finite import (
     Payoff,
     PairCarrier,
-    SumCarrier,
     Tag,
     TotalFn,
     UNIT,
@@ -30,7 +29,6 @@ from opengames.finite import (
     nested_product,
     probe_values,
     product_set,
-    sum_carrier,
     tensor_carrier,
     total_fn,
     unit_set,
@@ -105,16 +103,6 @@ def test_tensor_carrier_collapses_finite_pairs():
     assert carrier_contains(mixed, ((Fraction(2),), "u"))
 
 
-def test_sum_carrier_collapses_finite_parts():
-    a = make_set([0])
-    b = make_set([1])
-    assert sum_carrier([a, b]) == coproduct_set(a, b)
-    mixed = sum_carrier([a, Payoff(2)])
-    assert isinstance(mixed, SumCarrier)
-    assert carrier_contains(mixed, Tag(1, (Fraction(1), Fraction(2))))
-    assert not carrier_contains(mixed, Tag(1, (Fraction(1),)))
-
-
 def test_payoff_membership_is_exact_rationals():
     assert carrier_contains(Payoff(2), (Fraction(1), Fraction(-3, 2)))
     assert not carrier_contains(Payoff(2), (1.0, 2.0))
@@ -139,7 +127,7 @@ def test_probe_values_cover_pair_and_sum():
     a = make_set(["x"])
     pc = PairCarrier(a, Payoff(1))
     assert all(carrier_contains(pc, v) for v in probe_values(pc))
-    sc = SumCarrier((a, Payoff(1)))
+    sc = coproduct_set(a, make_set(["y"]))
     assert all(carrier_contains(sc, v) for v in probe_values(sc))
 
 
@@ -162,7 +150,6 @@ def test_total_fn_and_its_builder_reject_off_carrier_values():
         (Payoff(1), {"x": (half,), "y": (1,)}),  # not a Fraction
         (Payoff(2), {"x": (half, half), "y": (half,)}),  # wrong dimension
         (PairCarrier(Payoff(1), make_set(["a"])), {"x": ((half,), "a"), "y": ((half,), "b")}),
-        (SumCarrier((Payoff(1), make_set(["a"]))), {"x": Tag(0, (half,)), "y": Tag(0, "a")}),
     ]
     for cod, table in cases:
         with pytest.raises(TypeMismatch):
@@ -212,8 +199,8 @@ def test_enumerate_functions_order_and_bound():
         ("b", "a"),
         ("b", "b"),
     ]
-    with pytest.raises(EnumerationBound):
-        enumerate_functions(dom, cod, bound=3)
+    with pytest.raises(EnumerationBound):  # 2^20 > 10^6, counted before building
+        enumerate_functions(make_set(list(range(20))), cod)
 
 
 # ---------- rendering ----------
