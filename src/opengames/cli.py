@@ -28,7 +28,7 @@ from .cells import (
     seq_lunit_cell,
     unit_split_cell,
 )
-from .dsl import format_document, parse_document
+from .dsl import format_document, parse_document, with_article
 from .errors import EngineError, SourceError, TypeMismatch
 from .expr import eval_expr
 from .finite import UNIT, UNIT_SET, total_fn
@@ -150,25 +150,24 @@ def _render_text(report) -> str:
 
 def _pick_target(doc, mode, wanted):
     allowed = [kind for kind, m in SOLVERS if m == mode]
-    solvable = [d for d in doc.declarations if d[0] in {kind for kind, _ in SOLVERS}]
     if wanted is not None:
-        for kind, name in solvable:
-            if name == wanted:
-                if kind not in allowed:
-                    raise UsageError(
-                        f"`{wanted}` is a {kind}; mode {mode} needs one of: "
-                        + ", ".join(allowed)
-                    )
-                return kind, name
-        raise UsageError(f"no solvable declaration named `{wanted}`")
-    for kind, name in reversed(solvable):
+        kind = doc.names.get(wanted, (None,))[0]
+        if kind not in {solvable for solvable, _ in SOLVERS}:
+            raise UsageError(f"no solvable declaration named `{wanted}`")
+        if kind not in allowed:
+            raise UsageError(
+                f"`{wanted}` is {with_article(kind)}; mode {mode} needs one of: "
+                + ", ".join(allowed)
+            )
+        return wanted
+    for name, (kind, _) in reversed(doc.names.items()):
         if kind in allowed:
-            return kind, name
+            return name
     raise UsageError(f"the document declares nothing solvable in mode {mode}")
 
 
 def _expr_continuation(doc, expr_name, flag):
-    game = eval_expr(doc.exprs[expr_name])
+    game = eval_expr(doc.names[expr_name][1])
     if flag is None or flag == "trivial":
         if game.dst.backward != UNIT_SET:
             raise TypeMismatch(
@@ -176,8 +175,8 @@ def _expr_continuation(doc, expr_name, flag):
                 "declare a continuation for this expression"
             )
         return total_fn(game.dst.forward, UNIT_SET, lambda _: UNIT)
-    found = doc.continuations.get(flag)
-    if found is None:
+    kind, found = doc.names.get(flag, (None, None))
+    if kind != "continuation":
         raise UsageError(f"no continuation named `{flag}`")
     target, k = found
     if target != expr_name:
@@ -189,11 +188,12 @@ def _expr_continuation(doc, expr_name, flag):
 
 def _cmd_solve(args):
     doc = parse_document(_read_input(args.input))
-    kind, name = _pick_target(doc, args.mode, args.expr)
+    name = _pick_target(doc, args.mode, args.expr)
+    kind, target = doc.names[name]
     if args.continuation is not None and kind != "expr":
         raise UsageError("--continuation only applies to states and separable")
     k = _expr_continuation(doc, name, args.continuation) if kind == "expr" else None
-    body = solve(kind, doc.target(kind, name), args.mode, k).to_json(args.max_table)
+    body = solve(kind, target, args.mode, k).to_json(args.max_table)
     return args.input, body["results"], body.get("witnesses", []), 0
 
 
@@ -304,8 +304,8 @@ def bundled_document_text(name=_DEMO_PATH) -> str:
 def _cmd_demo(args):
     doc = parse_document(bundled_document_text())
     k = _expr_continuation(doc, "H", None)
-    states = solve("expr", doc.exprs["H"], "states", k).to_json(args.max_table)
-    separable = solve("expr", doc.exprs["H"], "separable", k).to_json(args.max_table)
+    states = solve("expr", doc.names["H"][1], "states", k).to_json(args.max_table)
+    separable = solve("expr", doc.names["H"][1], "separable", k).to_json(args.max_table)
     results = [
         {"mode": "states", "profiles": states["results"]},
         {"mode": "separable", "profiles": separable["results"]},

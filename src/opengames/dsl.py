@@ -196,24 +196,24 @@ def skeleton(node: SExpr):
 # ---------------------------------------------------------------------------
 
 
+#: The names every document starts with, as (kind, value); no declaration may take them.
+BUILTINS = {"unit": ("set", UNIT_SET), "I": ("diset", UNIT_DISET)}
+
+
+def with_article(kind: str) -> str:
+    """`an expr`, `a set`: a declaration kind as a message writes it."""
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
+
+
 @dataclass
 class Document:
-    sets: dict
-    payoffs: dict
-    disets: dict
-    lenses: dict
-    games: dict
-    exprs: dict
-    continuations: dict  # name -> (expr name, TotalFn)
-    normal_forms: dict
-    sequentials: dict
-    extensives: dict
-    declarations: list  # every (kind, name) in declaration order
+    names: dict  # name -> (kind, value), in declaration order
     forms: list
 
-    def target(self, kind, name):
-        """The declaration `name` of `kind`, read from that kind's table."""
-        return getattr(self, _TABLES[kind])[name]
+    @property
+    def declarations(self):
+        """Every (kind, name) in declaration order."""
+        return [(kind, name) for name, (kind, _) in self.names.items()]
 
 
 def _err(node, message):
@@ -259,8 +259,7 @@ def _need_int(node, what):
 class _Analyzer:
     def __init__(self, forms):
         self.forms = forms
-        self.doc = Document({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [], list(forms))
-        self.kinds = {"unit": "set", "I": "diset"}
+        self.doc = Document({}, list(forms))
 
     def run(self) -> Document:
         for form in self.forms:
@@ -282,28 +281,23 @@ class _Analyzer:
     # -- shared plumbing ----------------------------------------------------
 
     def _declare(self, node, kind, name, value):
-        if name in self.kinds:
+        if name in BUILTINS or name in self.doc.names:
             raise NameResolutionError(
                 f"`{name}` is already defined", node.line, node.col
             )
-        self.kinds[name] = kind
-        getattr(self.doc, _TABLES[kind])[name] = value
-        self.doc.declarations.append((kind, name))
+        self.doc.names[name] = (kind, value)
 
     def _lookup(self, node, kind):
-        name = _need_atom(node, f"a {kind} name")
-        if name == "unit" and kind == "set":
-            return UNIT_SET
-        if name == "I" and kind == "diset":
-            return UNIT_DISET
-        found = self.kinds.get(name)
+        name = _need_atom(node, f"{with_article(kind)} name")
+        found, value = self.doc.names.get(name) or BUILTINS.get(name, (None, None))
         if found is None:
             raise NameResolutionError(f"unknown name `{name}`", node.line, node.col)
         if found != kind:
             raise NameResolutionError(
-                f"`{name}` is a {found}, not a {kind}", node.line, node.col
+                f"`{name}` is {with_article(found)}, not {with_article(kind)}",
+                node.line, node.col,
             )
-        return getattr(self.doc, _TABLES[kind])[name]
+        return value
 
     def _engine(self, node, fn, *args):
         """Run an engine constructor, pinning failures to a source span."""
@@ -319,7 +313,7 @@ class _Analyzer:
             if node.atom == "*":
                 return UNIT
             if _RATIONAL.match(node.atom):
-                return Fraction(node.atom)
+                return self._rational(node)
             return node.atom
         items = node.items
         if not items or not items[0].is_atom:
@@ -339,7 +333,10 @@ class _Analyzer:
         text = _need_atom(node, "a rational")
         if not _RATIONAL.match(text):
             raise _err(node, f"expected a rational, found `{text}`")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise _err(node, f"`{text}` has a zero denominator") from None
 
     def _rows(self, where, nodes, fwd, carrier, what):
         """Arrow rows (V -> V) as a total table fwd -> carrier."""
@@ -538,11 +535,11 @@ class _Analyzer:
 
     def _expr(self, node) -> GameExpr:
         if node.is_atom:
-            kind = self.kinds.get(node.atom)
+            kind, value = self.doc.names.get(node.atom, (None, None))
             if kind == "game":
-                return Atom(self.doc.games[node.atom])
+                return Atom(value)
             if kind == "expr":
-                return self.doc.exprs[node.atom]
+                return value
             raise NameResolutionError(
                 f"`{node.atom}` is not a game or expression", node.line, node.col
             )
@@ -566,11 +563,12 @@ class _Analyzer:
             raise _err(form, "expected (continuation NAME EXPR ROWS)")
         name = _need_atom(items[1], "a continuation name")
         expr_name = _need_atom(items[2], "an expression name")
-        if self.kinds.get(expr_name) != "expr":
+        kind, expr = self.doc.names.get(expr_name, (None, None))
+        if kind != "expr":
             raise NameResolutionError(
                 f"`{expr_name}` is not an expression", items[2].line, items[2].col
             )
-        game = eval_expr(self.doc.exprs[expr_name])
+        game = eval_expr(expr)
         k = self._rows(
             form, items[3:], game.dst.forward, game.dst.backward, "backward carrier"
         )
@@ -581,7 +579,7 @@ class _Analyzer:
     def _choice_sets(self, node):
         return [self._lookup(s, "set") for s in _need_list(node, "choice sets")]
 
-    def _classical(self, form, items, build):
+    def _classical(self, form, items, kind, build):
         if len(items) != 4:
             raise _err(form, "expected (NAME (SETS) PAYOFF)")
         name = _need_atom(items[1], "a name")
@@ -591,16 +589,13 @@ class _Analyzer:
             raise _err(items[3], "payoff domain does not match the choice sets")
         if payoff.cod != Payoff(len(sets)):
             raise _err(items[3], f"payoff must land in Q^{len(sets)}")
-        game = build(sets, lambda p: payoff(nest_value(p)))
-        return name, game, items[1]
+        self._declare(items[1], kind, name, build(sets, lambda p: payoff(nest_value(p))))
 
     def _form_normal_form(self, form, items):
-        name, game, node = self._classical(form, items, normal_form)
-        self._declare(node, "normal-form", name, game)
+        self._classical(form, items, "normal-form", normal_form)
 
     def _form_sequential(self, form, items):
-        name, game, node = self._classical(form, items, sequential_game)
-        self._declare(node, "sequential", name, game)
+        self._classical(form, items, "sequential", sequential_game)
 
     def _form_extensive(self, form, items):
         if len(items) < 4:
@@ -639,20 +634,6 @@ class _Analyzer:
                 )
             return self._engine(node, TreeNode, node_id, player, None, children)
         raise _err(node, f"unknown tree form `{head}`")
-
-
-_TABLES = {
-    "set": "sets",
-    "payoff": "payoffs",
-    "diset": "disets",
-    "lens": "lenses",
-    "game": "games",
-    "expr": "exprs",
-    "continuation": "continuations",
-    "normal-form": "normal_forms",
-    "sequential": "sequentials",
-    "extensive": "extensives",
-}
 
 
 def parse_document(text: str) -> Document:

@@ -122,9 +122,8 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     """
     if continuation.dom != eval_expr(expr).dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
-    profiles = _separable(expr, continuation, {})
-    witnesses, derived = {}, {}
-    return [(p, _certificate(expr, p, continuation, witnesses, derived)) for p in profiles]
+    return [(p, _certificate(expr, p, continuation))
+            for p in _separable(expr, continuation, {})]
 
 
 def _separable(expr, k, memo):
@@ -155,48 +154,27 @@ def _part(expr, memo):
     return rule
 
 
-def _certificate(expr, profile, k, witnesses, derived):
-    """The witness of a separable profile: the contexts the joins checked it at.
-
-    `witnesses` and `derived` (continuations built from `k`) are shared
-    between profiles.  Both key `k` by its id, as equal tables would
-    compare in full, and store `k` with the value to keep the id unique.
-    """
-    key = (expr, profile, id(k))
-    hit = witnesses.get(key)
-    if hit is not None:
-        return hit[1]
-
-    def derive(part, build):  # one continuation from k per `part`, built once
-        got = derived.get((id(k), part))
-        if got is None:
-            got = derived[(id(k), part)] = (k, build())
-        return got[1]
-
+def _certificate(expr, profile, k):
+    """The witness of a separable profile: the contexts the joins checked it at."""
     if isinstance(expr, Atom):
-        cert = CertAtom(profile, k)
-    elif isinstance(expr, Seq):
-        second = eval_expr(expr.second)
-        cut = derive((expr, profile[1]), lambda: second.transport(profile[1], k))
-        cert = CertSeq(_certificate(expr.first, profile[0], cut, witnesses, derived),
-                       _certificate(expr.second, profile[1], k, witnesses, derived), cut)
-    elif isinstance(expr, Tensor):
+        return CertAtom(profile, k)
+    if isinstance(expr, Seq):
+        cut = eval_expr(expr.second).transport(profile[1], k)
+        return CertSeq(_certificate(expr.first, profile[0], cut),
+                       _certificate(expr.second, profile[1], k), cut)
+    if isinstance(expr, Tensor):
         sides = ([], [])
         joint = len(eval_expr(expr).src.forward)  # with no joint history nothing is checked
         for side, own, partner in ((0, expr.left, expr.right), (1, expr.right, expr.left)):
             hists = eval_expr(partner).src.forward if joint else ()
             for h, move in zip(hists, eval_expr(partner).reach(profile[1 - side], hists)):
-                kf = derive((own, side, move),
-                            lambda: factor_continuation(k, side, move, eval_expr(own).dst))
-                sides[side].append((h, _certificate(own, profile[side], kf, witnesses, derived)))
-        cert = CertTensor(tuple(sides[0]), tuple(sides[1]))
-    else:
-        cert = CertProduct(tuple(
-            _certificate(c, p, branch_continuation(k, j, eval_expr(c).dst), witnesses, derived)
-            for j, (c, p) in enumerate(zip(expr.children, profile))
-        ))
-    witnesses[key] = (k, cert)
-    return cert
+                kf = factor_continuation(k, side, move, eval_expr(own).dst)
+                sides[side].append((h, _certificate(own, profile[side], kf)))
+        return CertTensor(tuple(sides[0]), tuple(sides[1]))
+    return CertProduct(tuple(
+        _certificate(c, p, branch_continuation(k, j, eval_expr(c).dst))
+        for j, (c, p) in enumerate(zip(expr.children, profile))
+    ))
 
 
 def _fn_to_json(fn: TotalFn, max_table: int):

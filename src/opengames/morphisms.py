@@ -10,10 +10,11 @@ the trivial game on the monoidal unit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import BoundaryMismatch, NotAState, TypeMismatch
-from .finite import TotalFn, UNIT_SET, compose_fn, total_fn
+from .errors import BoundaryMismatch, EnumerationBound, NotAState, TypeMismatch
+from .finite import DEFAULT_BOUND, TotalFn, UNIT_SET, compose_fn, total_fn
 from .lenses import (
     Lens,
     UNIT_DISET,
@@ -271,6 +272,7 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     of best responses to `s` must be g2's set for the image of `s`.
     Relations do not depend on the candidate bijection, so one memo of
     them is shared by both games across every candidate of the search.
+    Candidates are built one at a time, after their count is checked against `DEFAULT_BOUND`.
     Returns the isomorphism as a globular GameMorphism, or None.
     """
     if g1.src != g2.src or g1.dst != g2.dst:
@@ -306,6 +308,9 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
                 break
         else:
             return None
+    count = math.prod(math.factorial(len(m1)) for m1, _ in pairing)
+    if count > DEFAULT_BOUND:
+        raise EnumerationBound(f"{count} candidate bijections exceed bound {DEFAULT_BOUND}")
 
     ks = _continuations(g1.dst, continuations)
     contexts = [(h, k) for h in g1.src.forward for k in ks]
@@ -320,12 +325,15 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
                     return False
         return True
 
-    perms_per_class = [
-        [list(zip(m1, perm)) for perm in itertools.permutations(m2)]
-        for m1, m2 in pairing
-    ]
-    for combo in itertools.product(*perms_per_class):
-        mapping = dict(pair for block in combo for pair in block)
+    def candidates(i, mapping):  # each class's permutations in turn, the first outermost
+        if i == len(pairing):
+            yield mapping
+            return
+        m1, m2 = pairing[i]
+        for perm in itertools.permutations(m2):
+            yield from candidates(i + 1, {**mapping, **dict(zip(m1, perm))})
+
+    for mapping in candidates(0, {}):
         if preserves(mapping):
             f = total_fn(g1.strategies, g2.strategies, lambda s: mapping[s])
             return GameMorphism(g1, g2, lens_identity(g1.src), lens_identity(g1.dst), f)

@@ -129,7 +129,7 @@ def _market_profile(profile):
 def test_c1_market_entry():
     started = time.perf_counter()
     doc = parse_document(bundled_document_text())
-    expr = doc.exprs["H"]
+    expr = doc.names["H"][1]
     game = eval_expr(expr)
     assert len(game.strategies) == 8
     k = total_fn(game.dst.forward, UNIT_SET, lambda _: UNIT)
@@ -148,7 +148,7 @@ def test_c1_market_entry():
 
     # The branch composite reports each branch's value back to the first
     # mover: 0 for staying out, 3 for entering against accommodation.
-    mediator = eval_expr(doc.exprs["BRANCHES"]).play(profile[1])
+    mediator = eval_expr(doc.names["BRANCHES"][1]).play(profile[1])
     assert mediator.update_at(Tag(0, UNIT), UNIT) == (Fraction(0),)
     assert mediator.update_at(Tag(1, UNIT), UNIT) == (Fraction(3),)
 

@@ -1,5 +1,7 @@
 """Structure cells: validity, two-sided inverses, coherence figures."""
 
+import random
+
 import pytest
 
 from opengames.cells import (
@@ -19,6 +21,7 @@ from opengames.finite import UNIT_SET, make_set
 from opengames.games import (
     copy_decision,
     copy_decision_composite,
+    game_states,
     seq_compose,
     tensor_games,
     unit_game,
@@ -33,7 +36,7 @@ from opengames.morphisms import (
     tensor_morphisms,
     vcompose,
 )
-from opengames.sampling import random_game
+from opengames.sampling import random_diset, random_game, sample_continuations
 
 D21 = lambda tag: Diset(make_set([f"{tag}0", f"{tag}1"]), UNIT_SET)
 D22 = lambda tag: Diset(make_set([f"{tag}0", f"{tag}1"]), make_set([f"{tag}r", f"{tag}s"]))
@@ -246,3 +249,52 @@ def test_copy_decision_pair_is_globularly_isomorphic():
     assert iso.globular
     for s in direct.strategies:
         assert lenses_equal(direct.play(s), composite.play(iso.sigma_map(s)))
+
+
+# ---------- states travel along cells ----------
+
+
+def _law_cells(rng):
+    """One of each globular cell on fresh random games, with the name it is known by."""
+    def chain(n):
+        ds = [random_diset(rng) for _ in range(n + 1)]
+        return [random_game(rng, ds[j], ds[j + 1], max_strategies=2) for j in range(n)]
+
+    g, h, i = chain(3)
+    (one,) = chain(1)
+    g1, h1 = chain(2)
+    g2, h2 = chain(2)
+    return [
+        ("seq-assoc", seq_assoc_cell(g, h, i)),
+        ("seq-lunit", seq_lunit_cell(one)),
+        ("seq-runit", seq_runit_cell(one)),
+        ("unit-split", unit_split_cell(random_diset(rng), random_diset(rng))),
+        ("interchange", interchange_cell(g1, g2, h1, h2)),
+    ]
+
+
+def _states_transport(cell, ks):
+    """The continuations of `ks` at which `sigma` does not carry states onto states."""
+    return [
+        k for k in ks
+        if {cell.sigma_map(s) for s in game_states(cell.source_game, k)}
+        != set(game_states(cell.target_game, k))
+    ]
+
+
+def test_globular_isos_carry_states_onto_states():
+    """Morphisms preserve best responses, so a globular iso maps the states of
+    its source exactly onto those of its target, at every continuation."""
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        for name, cell in _law_cells(rng):
+            assert cell.globular
+            ks = sample_continuations(rng, cell.target_game.dst, 4)
+            assert _states_transport(cell, ks) == [], (seed, name)
+            checked += len(ks)
+    sets = [make_set(["L", "R"])] * 2
+    iso = find_globular_iso(copy_decision(sets), copy_decision_composite(sets))
+    ks = sample_continuations(random.Random(0), iso.target_game.dst, 8)
+    assert _states_transport(iso, ks) == []
+    assert checked + len(ks) > 700

@@ -144,13 +144,13 @@ def test_document_tables_and_declaration_order():
         ("expr", "CHAIN"),
         ("expr", "WHOLE"),
     ]
-    assert list(doc.sets["MOVE"]) == ["C", "D"]
-    assert doc.games["FIRST"].label == "FIRST"
+    assert list(doc.names["MOVE"][1]) == ["C", "D"]
+    assert doc.names["FIRST"][1].label == "FIRST"
 
 
 def test_document_solves_like_the_programmatic_build():
     doc = parse_document(PD_DOC)
-    nf = doc.normal_forms["PDGAME"]
+    nf = doc.names["PDGAME"][1]
     assert nash_normal_form(nf) == [("D", "D")]
     assert brute_nash(nf) == [("D", "D")]
 
@@ -357,15 +357,15 @@ def test_each_mode_picks_its_last_compatible_kind(tmp_path, capsys):
         "spe": "sequential, extensive",
     }
     for mode, kinds in needs.items():
-        name, kind = ("PICK", "extensive") if kinds == "expr" else ("WHOLE", "expr")
+        name, kind = ("PICK", "an extensive") if kinds == "expr" else ("WHOLE", "an expr")
         code, _, err = run_cli(
             capsys, ["solve", "--input", path, "--mode", mode, "--expr", name]
         )
         assert code == 2
-        assert err == f"usage error: `{name}` is a {kind}; mode {mode} needs one of: {kinds}\n"
+        assert err == f"usage error: `{name}` is {kind}; mode {mode} needs one of: {kinds}\n"
     doc = parse_document(ALL_KINDS_DOC)
     with pytest.raises(TypeMismatch):
-        solve("normal-form", doc.target("normal-form", "PDGAME"), "spe")
+        solve("normal-form", doc.names["PDGAME"][1], "spe")
 
 
 def test_solve_extensive_targets(tmp_path, capsys):
@@ -421,6 +421,21 @@ def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
         code, _, err = run_cli(capsys, ["parse", "--input", path])
         assert code == 2
         assert err.startswith(f"{path}:{expected}")
+
+
+def test_zero_denominators_exit_two_with_position(capsys, monkeypatch):
+    """Every rational goes through one reader, so `1/0` is a document error, not a crash."""
+    cases = [
+        ("(payoff P () 1 (() -> (1/0)))\n", "1:24: `1/0` has a zero denominator"),
+        ("(set A (a))\n(lens E (effect (diset A (real 1))\n  (a -> (vec 2/0))))\n",
+         "3:14: `2/0` has a zero denominator"),
+        ("(extensive T 1 (leaf x (-3/00)))\n", "1:25: `-3/00` has a zero denominator"),
+    ]
+    for text, expected in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, ["parse", "--input", "-"])
+        assert (code, out) == (2, "")
+        assert err == f"-:{expected}\n"
 
 
 def test_payoff_row_of_the_wrong_arity_exits_two_with_position(tmp_path, capsys):

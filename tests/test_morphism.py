@@ -314,6 +314,41 @@ def test_find_globular_iso_failure_modes():
     assert find_globular_iso(g, smaller) is None
 
 
+def _playing(prefix, moves):
+    """`decision(unit, MOVES)` with one strategy `{prefix}{i}` playing `moves[i]`."""
+    g = decision(UNIT_SET, MOVES)
+    names = make_set(tuple(f"{prefix}{i}" for i in range(len(moves))))
+    return reindex_strategies(
+        g, total_fn(names, g.strategies, lambda s: const_strategy(g, moves[int(s[1:])]))
+    )
+
+
+def test_find_globular_iso_takes_the_first_candidate_in_class_order():
+    pattern = "CDCDC"  # classes (0 2 4) and (1 3) on both sides
+    iso = find_globular_iso(_playing("a", pattern), _playing("b", pattern))
+    assert [iso.sigma_map(f"a{i}") for i in range(5)] == [f"b{i}" for i in range(5)]
+
+
+def test_find_globular_iso_builds_candidates_one_at_a_time():
+    import tracemalloc
+
+    nine = _playing("s", "C" * 9)  # 9! = 362,880 candidates; the first, the identity, holds
+    ten = _playing("s", "C" * 10)  # 10! > 10^6
+    tracemalloc.start()
+    try:
+        iso = find_globular_iso(nine, nine)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(EnumerationBound):
+            find_globular_iso(ten, ten)
+        bound_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(iso.sigma_map(s) == s for s in nine.strategies)
+    assert peak < 4 * 2**20, peak
+    assert bound_peak < 2**20, bound_peak
+
+
 # ---------- the continuation list and the per-strategy axiom 2 ----------
 
 

@@ -367,7 +367,7 @@ def test_witnesses_rederive_on_random_trees_with_empty_sets():
 
 def test_witnesses_rederive_on_the_market_and_the_sequential_ladder():
     doc = parse_document(bundled_document_text())
-    assert len(_check_all_witnesses(doc.exprs["H"], _expr_continuation(doc, "H", None))) == 1
+    assert len(_check_all_witnesses(doc.names["H"][1], _expr_continuation(doc, "H", None))) == 1
     rng = random.Random(7)
     for _ in range(12):
         expr, k = build_sequential_expr(random_sequential(rng, max_players=3, max_choices=3))
