@@ -38,7 +38,8 @@ for a trivial part; the states joins still do.
 A seq game pulls a continuation back to its cut stage by stage
 (`OpenGame.transport`), and seq, tensor and product games hand histories
 on through their parts (`OpenGame.reach`), so the joins build no
-composite play lens and each stage lens keeps its own tables.
+composite play lens and each stage lens keeps its own tables; a copy
+decision reads its cut off the continuation's table, with no play lens.
 
 Tensor factor and product child continuations are kept per call in
 the joins and in `relation`, so no game keeps a table per continuation.
@@ -316,6 +317,21 @@ def copy_decision(sets) -> OpenGame:
             view = _derived_fn(hist, out, tuple(zip(hist.elements, s.values)))
         return Lens(src, dst, view, drop)
 
+    def transport(s, k):
+        # `apply_continuation(play(s), k)` by table lookup: history i extended by
+        # choice y is row i * len(last) + last.index(y) of `k`, a table on `out`.
+        if s not in strategies:
+            raise TypeMismatch(f"not a strategy of copy-decision: {s!r}")
+        if k.dom != out:
+            raise TypeMismatch("continuation does not match lens codomain")
+        m, col, rows = len(last), last._index, k.values
+        try:  # each row but its last payoff
+            values = tuple(rows[i * m + col[y]][: n - 1] for i, y in enumerate(s.values))
+        except TypeError:  # a value that is not a vector cannot be sliced
+            raise TypeMismatch(f"continuation values outside {dst.backward!r}") from None
+        # Slices of a checked table into Q^n lie in Q^(n-1); other tables are checked.
+        return (_derived_fn if k.cod == dst.backward else TotalFn)(hist, src.backward, values)
+
     def extend(h, choice):
         return choice if n == 1 else (h, choice)
 
@@ -328,7 +344,8 @@ def copy_decision(sets) -> OpenGame:
     def relation(h, k, memo):
         return dict.fromkeys(strategies, tuple(states((h,), k)))
 
-    return OpenGame(src, dst, strategies, play, relation, label="copy-decision", states=states)
+    return OpenGame(src, dst, strategies, play, relation, label="copy-decision", states=states,
+                    transport=transport)
 
 
 def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:

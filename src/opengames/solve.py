@@ -18,7 +18,7 @@ from .classical import (
     normalize_extensive,
     oracle_spe,
 )
-from .errors import TypeMismatch
+from .errors import EmptyChoiceSet, TypeMismatch
 from .expr import (
     Atom,
     GameExpr,
@@ -37,7 +37,6 @@ from .finite import (
     _derived_fn,
     flat_product,
     flatten_value,
-    nest_value,
     value_to_json,
 )
 from .games import copy_decision, decision
@@ -50,6 +49,8 @@ def build_normal_form_expr(nf: NormalFormGame):
     nest the same way and can be flattened back to plain profiles.
     """
     n = nf.players
+    if n == 0:
+        raise EmptyChoiceSet("normal-form game needs at least one player")
     expr: GameExpr = Atom(decision(UNIT_SET, nf.choices[0]))
     for xs in nf.choices[1:]:
         expr = Tensor(expr, Atom(decision(UNIT_SET, xs)))
@@ -89,6 +90,8 @@ def build_sequential_expr(sq: SequentialGame):
     stage's target on the nose.
     """
     n = sq.players
+    if n == 0:
+        raise EmptyChoiceSet("sequential game needs at least one player")
     stages = [Atom(copy_decision(sq.choices[: i + 1])) for i in range(n)]
     expr: GameExpr = stages[-1]
     for atom in reversed(stages[:-1]):
@@ -114,26 +117,16 @@ def _chain_profile(profile, n):
     return tuple(out)
 
 
-def _flatten_stage_strategy(sigma: TotalFn, dom, choices):
-    """Rebase a stage strategy from nested histories onto the plain tuples `dom`.
-
-    `sigma` is a strategy of the stage, so every value it reads lies in `choices`.
-    """
-    return _derived_fn(dom, choices, tuple(sigma(nest_value(xs)) for xs in dom))
-
-
 def sequential_profiles(sq: SequentialGame, nested_profiles):
+    """Nested stage-chain profiles -> flat stage strategies.  `flat_product` and
+    `nested_product` list histories in one order, so each strategy keeps its table."""
     n = sq.players
     doms = [flat_product(sq.choices[:i]) for i in range(n)]
-    out = []
-    for p in nested_profiles:
-        stages = _chain_profile(p, n)
-        out.append(
-            tuple(
-                _flatten_stage_strategy(s, doms[i], sq.choices[i]) for i, s in enumerate(stages)
-            )
-        )
-    return out
+    return [
+        tuple(_derived_fn(doms[i], sq.choices[i], s.values)
+              for i, s in enumerate(_chain_profile(p, n)))
+        for p in nested_profiles
+    ]
 
 
 def nash_sequential(sq: SequentialGame):

@@ -21,6 +21,7 @@ from opengames.dsl import (
 )
 from opengames.errors import (
     DocumentTypeError,
+    EmptyChoiceSet,
     NameResolutionError,
     ParseError,
     TypeMismatch,
@@ -545,6 +546,14 @@ def test_spe_report_matches_golden_file(capsys, monkeypatch):
     assert out == (GOLDEN / "three_stage_spe.json").read_text(encoding="utf-8")
 
 
+def test_nash_report_matches_golden_file(capsys, monkeypatch):
+    """Nash profiles of the same three-stage sequential document, pinned byte for byte."""
+    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "three_stage.og").read_text("utf-8")))
+    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])
+    assert code == 0
+    assert out == (GOLDEN / "three_stage_nash.json").read_text(encoding="utf-8")
+
+
 def test_market_tree_reports_match_golden_files(capsys, monkeypatch):
     """The extensive entries of the solve dispatch, pinned on MARKET-TREE byte for byte."""
     for mode in ("nash", "spe"):
@@ -569,3 +578,21 @@ def test_parse_subcommand_json_and_text(tmp_path, capsys):
     assert [skeleton(n) for n in parse_sexprs(out)] == [
         skeleton(n) for n in parse_sexprs(PD_DOC)
     ]
+
+
+ZERO_PLAYERS = "(payoff P () 0 (() -> ()))\n"
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("sequential", "nash"), ("sequential", "spe"), ("normal-form", "nash"),
+])
+def test_zero_player_games_are_typed_errors(tmp_path, capsys, kind, mode):
+    """A classical game with no player is an engine error, not a traceback."""
+    text = ZERO_PLAYERS + f"({kind} G () P)\n"
+    path = write_doc(tmp_path, text)
+    code, out, err = run_cli(capsys, ["solve", "--input", path, "--mode", mode])
+    assert code == 1 and out == ""
+    assert err == f"error: {kind} game needs at least one player\n"
+    game = parse_document(text).names["G"][1]
+    with pytest.raises(EmptyChoiceSet, match="at least one player"):
+        solve(kind, game, mode)

@@ -521,3 +521,42 @@ def test_separable_profiles_come_in_composite_strategy_order(rng):
             got = [p for p, _ in separable_states_over(expr, k)]
             assert len(got) > 1
             assert got == sorted(got, key=game.strategies.index)
+
+
+def test_flat_and_nested_products_list_histories_in_one_order(rng):
+    """A stage strategy keeps its table when relabelled from nested to flat histories."""
+    from opengames.finite import flat_product, nest_value, nested_product
+    from opengames.sampling import random_finite_set
+
+    for n in range(5):
+        for _ in range(10):
+            sets = [random_finite_set(rng, 3, min_size=0, prefix=f"h{i}") for i in range(n)]
+            assert [nest_value(xs) for xs in flat_product(sets)] == list(nested_product(sets))
+
+
+@pytest.mark.parametrize("moves", [(3, 3), (4, 4), (2, 2, 2), (3, 2, 2), (2, 2, 3)])
+def test_sequential_profiles_read_each_history_as_before(rng, moves):
+    """Relabelled stage strategies equal a checked lookup at each nested history."""
+    from opengames.finite import flat_product, nest_value
+    from opengames.solve import sequential_profiles
+
+    def by_history(sq, nested):
+        n = sq.players
+        out = []
+        for p in nested:
+            stages = []
+            for _ in range(n - 1):
+                stages.append(p[0])
+                p = p[1]
+            stages.append(p)
+            out.append(tuple(
+                total_fn(flat_product(sq.choices[:i]), sq.choices[i], lambda xs: s(nest_value(xs)))
+                for i, s in enumerate(stages)
+            ))
+        return out
+
+    sq = _staged(rng, moves)
+    expr, k = build_sequential_expr(sq)
+    for nested in (states_over(expr, k), [p for p, _ in separable_states_over(expr, k)]):
+        assert nested
+        assert sequential_profiles(sq, nested) == by_history(sq, nested)

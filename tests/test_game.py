@@ -17,8 +17,10 @@ from opengames.finite import (
     PairCarrier,
     Payoff,
     Tag,
+    TotalFn,
     UNIT,
     UNIT_SET,
+    _derived_fn,
     _derived_set,
     format_fn,
     format_value,
@@ -659,6 +661,34 @@ def test_transport_matches_apply_continuation_on_random_trees():
                 )
                 for s in g.strategies:
                     assert g.transport(s, k) == apply_continuation(g.play(s), k), (seed, g, s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_copy_decision_transport_is_the_pulled_back_continuation(n):
+    """A copy decision's table-lookup cut equals `apply_continuation` along its play
+    lens, for derived and checked tables into Q^n, and rejects what it rejects."""
+    rng = random.Random(f"copy-transport/{n}")
+    for _ in range(4):
+        sets = [random_finite_set(rng, 3, prefix=f"m{i}") for i in range(n)]
+        g = copy_decision(sets)
+        out, qn = g.dst.forward, Payoff(n)
+        for _ in range(3):
+            values = tuple(_random_value(rng, qn) for _ in out)
+            for k in (_derived_fn(out, qn, values), TotalFn(out, qn, values)):
+                for s in g.strategies:
+                    assert g.transport(s, k) == apply_continuation(g.play(s), k), (sets, s)
+
+    s, k = g.strategies.elements[0], _derived_fn(out, qn, values)
+    wrong_dom = total_fn(make_set(["w"]), qn, lambda _: values[0])
+    words = make_set(["ab"])
+    not_vectors = total_fn(out, words, lambda _: "ab")
+    for sigma, kk in [(s, wrong_dom), ("not a strategy", k), ([1], k), (s, not_vectors)]:
+        with pytest.raises(TypeMismatch):
+            g.transport(sigma, kk)
+        # A one-stage play lens keeps no payoff coordinate, so it reads no value.
+        if n > 1 or kk is not not_vectors:
+            with pytest.raises(TypeMismatch):
+                apply_continuation(g.play(sigma), kk)
 
 
 def test_reach_matches_the_play_view_on_random_trees():
