@@ -28,6 +28,14 @@ history and any choice elsewhere, not by scanning its function space;
 only games without a `states` rule of their own, such as the reindexed
 ones, filter every strategy through their relation.
 
+The Nash path reads tables by index, not by lookup.  A decision takes
+its argmax in one pass over the rows of its continuation, a copy
+decision over the block of rows its history extends into; a tensor
+factor's continuation is a stride or a block of the joint table
+(`lenses.factor_continuation`); and the tensor join intersects the first
+factor's states per second-factor strategy, then emits its pairs in one
+ordered pass over the first factor's strategies.
+
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
 product of trivial games and their reindexed boundaries.  Their relation
@@ -223,28 +231,35 @@ def game_states(game: OpenGame, k: TotalFn):
     return game.states(game.src.forward, k)
 
 
-def _argmax(choices, score) -> set:
-    """The choices scoring weakly above every other."""
-    scores = {y: score(y) for y in choices}
-    top = max(scores.values())
-    return {y for y, v in scores.items() if v >= top}
+def _argmax(scores) -> list:
+    """The indices of the top scores, in order: one pass keeping the running
+    top and its ties, with one `>` and at most one `==` per score."""
+    it = iter(scores)
+    top = next(it)
+    out = [0]
+    for j, v in enumerate(it, 1):
+        if v > top:
+            top, out = v, [j]
+        elif v == top:
+            out.append(j)
+    return out
 
 
-def _product_states(strategies: FiniteSet, dom: FiniteSet, choices: FiniteSet, hs, top) -> list:
-    """The strategies dom -> choices playing into `top(h)` at each asked `h`, in order.
+def _product_states(strategies: FiniteSet, dom: FiniteSet, radix: int, hs, top) -> list:
+    """The strategies dom -> choices whose choice at each asked history, the
+    `i`-th of `dom`, has its index in `top(i)`, in order.
 
     `enumerate_functions` lists a function space mixed-radix, the first
     history's choice most significant, so the answer is the product of
-    the allowed choice indices: an asked history allows its argmax, any
-    other history allows every choice.
+    the allowed choice indices: an asked history allows the indices of its
+    argmax, any other history allows every choice.
     """
-    n, radix = len(dom), len(choices)
+    n = len(dom)
     weights = [radix ** (n - 1 - i) for i in range(n)]
     allowed = [[j * w for j in range(radix)] for w in weights]
     for h in hs:
         i = dom.index(h)  # raises TypeMismatch off the source, as `s(h)` would
-        here = top(h)
-        allowed[i] = [j * weights[i] for j, y in enumerate(choices) if y in here]
+        allowed[i] = [j * weights[i] for j in top(i)]
     elements = strategies.elements
     return [elements[sum(digits)] for digits in itertools.product(*allowed)]
 
@@ -279,8 +294,10 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
         return Lens(src, dst, s, UConst(UNIT))
 
     def states(hs, k):
-        top = _argmax(y, k)
-        return _product_states(strategies, x, y, hs, lambda h: top)
+        if k.dom != y:
+            raise TypeMismatch("continuation does not match the decision's choices")
+        top = _argmax([r[0] for r in k.values])
+        return _product_states(strategies, x, len(y), hs, lambda i: top)
 
     def relation(h, k, memo):
         # Every strategy has the same best responses: those into the argmax at h.
@@ -332,14 +349,13 @@ def copy_decision(sets) -> OpenGame:
         # Slices of a checked table into Q^n lie in Q^(n-1); other tables are checked.
         return (_derived_fn if k.cod == dst.backward else TotalFn)(hist, src.backward, values)
 
-    def extend(h, choice):
-        return choice if n == 1 else (h, choice)
-
-    def top(h, k):
-        return _argmax(last, lambda alt: k(extend(h, alt))[n - 1])
-
     def states(hs, k):
-        return _product_states(strategies, hist, last, hs, lambda h: top(h, k))
+        # Like `transport`: history i's choices are rows i * m to (i + 1) * m of `k`.
+        if k.dom != out:
+            raise TypeMismatch("continuation does not match the copy decision's target")
+        m, rows = len(last), k.values
+        return _product_states(strategies, hist, m, hs,
+                               lambda i: _argmax([r[n - 1] for r in rows[i * m:(i + 1) * m]]))
 
     def relation(h, k, memo):
         return dict.fromkeys(strategies, tuple(states((h,), k)))
@@ -492,13 +508,15 @@ def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> li
 
 
 def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) -> list:
-    """Pairs (s1, s2): at each joint history, each factor in its rule's states
-    against the continuation its partner's move leaves.
+    """Pairs (s1, s2), in product order: at each joint history, each factor in
+    its rule's states against the continuation its partner's move leaves.
 
     A rule's states at several histories are its states at each, so a factor
     is asked once per partner move, at the own histories meeting it, once a
-    strategy passes the moves before.  `expr._certificate` lists the same
-    contexts, none for an empty `hists`: change both together.
+    strategy passes the moves before: for each s2 the left states over the
+    contexts it leaves are intersected until none is left, and an s1's right
+    contexts are listed only once it passes some s2.  `expr._certificate`
+    lists the same contexts, none for an empty `hists`: change both together.
     """
     halves = ([x for x, _ in hists], [y for _, y in hists])
     kfs = {}  # (side, partner move) -> that factor's continuation under k
@@ -520,18 +538,21 @@ def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) ->
             got = found[key] = set((left, right)[side](mine, kf))
         return got
 
-    # Left first: s1's right-hand contexts are listed only once some s2 passes.
-    lefts = {s2: contexts(0, s2) for s2 in g2.strategies}  # where s1 is judged
+    passes = {}  # s1 -> the s2, in order, at whose left contexts s1 passes
+    for s2 in g2.strategies:
+        ok = None  # every s1, while no context is checked
+        for key in contexts(0, s2):
+            ok = states_at(key) if ok is None else ok & states_at(key)
+            if not ok:
+                break
+        for s1 in g1.strategies if ok is None else ok:
+            passes.setdefault(s1, []).append(s2)
     out = []
     for s1 in g1.strategies:
-        rights = None
-        for s2 in g2.strategies:
-            if not all(s1 in states_at(key) for key in lefts[s2]):
-                continue
-            if rights is None:
-                rights = contexts(1, s1)
-            if all(s2 in states_at(key) for key in rights):
-                out.append((s1, s2))
+        s2s = passes.get(s1)
+        if s2s:
+            rights = contexts(1, s1)
+            out.extend((s1, s2) for s2 in s2s if all(s2 in states_at(key) for key in rights))
     return out
 
 

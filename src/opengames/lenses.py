@@ -134,10 +134,17 @@ def _fill(node, v):
     _, path, take = node
     cur = v
     for step in path:
-        cur = cur[step]
+        cur = _coordinate(cur, step)
     if take is None:
         return cur
-    return tuple(cur[i] for i in take)
+    return tuple(_coordinate(cur, i) for i in take)
+
+
+def _coordinate(v, i):
+    """Coordinate `i` of a pair or payoff vector; any other value has none."""
+    if not isinstance(v, tuple) or i >= len(v):
+        raise TypeMismatch(f"value {format_value(v)} has no coordinate {i}")
+    return v[i]
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +463,20 @@ class Context:
 def factor_continuation(k: TotalFn, side: int, partner_move, dst: Diset) -> TotalFn:
     """Component `side` of `k` with the partner's move plugged in.
 
+    When `k.dom` is a product of finite sets (`flat_product` records its
+    factors) whose component `side` is `dst.forward`, the rows are read by
+    index: with the partner's move the j-th of its factor, side 0 reads
+    the stride `values[j::width]`, side 1 the block `values[j*width:(j+1)*width]`,
+    `width` being the size of the second factor.  Any other `k` is looked up.
     Values are checked unless `k.cod` is a pair carrier or a product of
     finite sets whose component `side` is `dst.backward`.
     """
-    if side == 0:
+    factors = k.dom.factors
+    if factors is not None and len(factors) == 2 and factors[side] == dst.forward:
+        j, width = factors[1 - side].index(partner_move), len(factors[1])
+        rows = k.values[j::width] if side == 0 else k.values[j * width:(j + 1) * width]
+        vals = tuple([r[side] for r in rows])
+    elif side == 0:
         vals = tuple(k((y, partner_move))[0] for y in dst.forward)
     else:
         vals = tuple(k((partner_move, y))[1] for y in dst.forward)

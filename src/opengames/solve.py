@@ -56,16 +56,19 @@ def build_normal_form_expr(nf: NormalFormGame):
         expr = Tensor(expr, Atom(decision(UNIT_SET, xs)))
     game = eval_expr(expr)
 
-    def pack(values, depth):
-        if depth == 1:
-            return values
-        return (pack(values[:-1], depth - 1), (values[-1],))
+    def pack(values):  # (q1, ..., qn) -> (((q1,), (q2,)), ..., (qn,))
+        acc = values[:1]
+        for q in values[1:]:
+            acc = (acc, (q,))
+        return acc
 
-    # `nf.payoff` is a checked table into Q^n; `pack` only re-nests its vectors.
+    # `nf.payoff` is a checked table into Q^n on `flat_product(nf.choices)`,
+    # which lists profiles in the order of the nested target; `pack` only
+    # re-nests its vectors.
     k = _derived_fn(
         game.dst.forward,
         game.dst.backward,
-        tuple(pack(nf.payoff(flatten_value(y, n)), n) for y in game.dst.forward),
+        tuple(map(pack, nf.payoff.values)),
     )
     return expr, k
 
@@ -97,12 +100,9 @@ def build_sequential_expr(sq: SequentialGame):
     for atom in reversed(stages[:-1]):
         expr = Seq(atom, expr)
     game = eval_expr(expr)
-    # `SequentialGame` holds a checked payoff table landing in Q^n.
-    k = _derived_fn(
-        game.dst.forward,
-        Payoff(n),
-        tuple(sq.payoff(flatten_value(v, n)) for v in game.dst.forward),
-    )
+    # `SequentialGame` holds a checked payoff table into Q^n on
+    # `flat_product(sq.choices)`, which lists plays in the order of the nested target.
+    k = _derived_fn(game.dst.forward, Payoff(n), sq.payoff.values)
     return expr, k
 
 

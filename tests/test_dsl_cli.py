@@ -554,6 +554,15 @@ def test_nash_report_matches_golden_file(capsys, monkeypatch):
     assert out == (GOLDEN / "three_stage_nash.json").read_text(encoding="utf-8")
 
 
+def test_normal_form_report_matches_golden_file(capsys, monkeypatch):
+    """Nash profiles of a three-player normal form with tied payoffs, pinned byte for
+    byte: the order in which the tensor states join emits its pairs."""
+    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "normal_form.og").read_text("utf-8")))
+    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])
+    assert code == 0
+    assert out == (GOLDEN / "normal_form_nash.json").read_text(encoding="utf-8")
+
+
 def test_market_tree_reports_match_golden_files(capsys, monkeypatch):
     """The extensive entries of the solve dispatch, pinned on MARKET-TREE byte for byte."""
     for mode in ("nash", "spe"):

@@ -383,6 +383,39 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
     assert built and max(built.values()) == 1
 
 
+def test_nash_states_read_payoff_tables_by_index(monkeypatch):
+    """On a prebuilt 5-player, 3-move tensor of decisions, states look up no row of
+    a payoff table: factor tables are strides and blocks, argmaxes read rows in
+    order.  Views, tables into finite sets, may still be called."""
+    import random
+
+    from opengames.classical import brute_nash
+    from opengames.finite import FiniteSet, TotalFn
+    from opengames.sampling import random_fraction
+    from opengames.solve import build_normal_form_expr
+
+    rng = random.Random(17)
+    moves = make_set(["m0", "m1", "m2"])
+    nf = normal_form([moves] * 5, lambda p: tuple(random_fraction(rng) for _ in range(5)))
+    expr, k = build_normal_form_expr(nf)
+    eval_expr(expr)
+
+    looked_up = []
+    call = TotalFn.__call__
+
+    def recording(fn, x):
+        if not isinstance(fn.cod, FiniteSet):
+            looked_up.append(fn.cod)
+        return call(fn, x)
+
+    monkeypatch.setattr(TotalFn, "__call__", recording)
+    profiles = states_over(expr, k)
+    monkeypatch.undo()
+
+    assert not looked_up, looked_up[:3]
+    assert [tuple(s(UNIT) for s in flatten_value(p, 5)) for p in profiles] == brute_nash(nf)
+
+
 def _staged(rng, moves):
     from opengames.sampling import random_fraction
 

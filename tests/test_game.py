@@ -29,6 +29,7 @@ from opengames.finite import (
 )
 from opengames.games import (
     OpenGame,
+    _argmax,
     best_response,
     copy_decision,
     copy_decision_composite,
@@ -83,6 +84,61 @@ def test_decision_best_is_argmax():
     assert game_states(g, k) == [sd]
     tie = total_fn(MOVES, Payoff(1), {"C": Q(2), "D": Q(2)})
     assert game_states(g, tie) == [sc, sd]
+
+
+class _Score:
+    """A score that counts the comparisons made on it."""
+
+    made = {">": 0, "==": 0}
+
+    def __init__(self, v):
+        self.v = v
+
+    def __gt__(self, other):
+        _Score.made[">"] += 1
+        return self.v > other.v
+
+    def __eq__(self, other):
+        _Score.made["=="] += 1
+        return self.v == other.v
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=1))
+def test_argmax_is_the_indices_of_the_top_scores(scores):
+    """One pass: the ties of the maximum, in order, with one `>` and at most one
+    `==` per score after the first."""
+    assert _argmax(scores) == [j for j, v in enumerate(scores) if v >= max(scores)]
+    _Score.made.update({">": 0, "==": 0})
+    assert _argmax(list(map(_Score, scores))) == _argmax(scores)
+    assert _Score.made[">"] == len(scores) - 1 and _Score.made["=="] <= len(scores) - 1
+
+
+def test_argmax_edges():
+    assert _argmax([Fraction(3)]) == [0]
+    assert _argmax([Fraction(2)] * 4) == [0, 1, 2, 3]
+    assert _argmax([1, 5, 2, 5, 5, 0]) == [1, 3, 4]
+    assert _argmax([5, 1, 6, 6]) == [2, 3]
+
+
+def test_one_shot_states_reject_a_continuation_on_another_domain():
+    """A decision and a copy decision read their continuation by row index, so
+    one on any other domain is a type error, also when its rows would look up."""
+    g = decision(MOVES, MOVES)
+    wider = make_set(["C", "D", "E"])
+    for dom in (wider, make_set(["D", "C"]), UNIT_SET):
+        with pytest.raises(TypeMismatch):
+            g.states(["C"], total_fn(dom, Payoff(1), lambda _: Q(0)))
+    for sets in ([MOVES], [MOVES, MOVES]):
+        c = copy_decision(sets)
+        out = c.dst.forward
+        other = MOVES if len(sets) > 1 else UNIT_SET
+        for dom in (make_set(list(out) + [("E", "E")]), make_set(reversed(out.elements)), other):
+            k = total_fn(dom, Payoff(len(sets)), lambda _: (Fraction(0),) * len(sets))
+            with pytest.raises(TypeMismatch):
+                c.states(list(c.src.forward), k)
+    # The same tables on the right domain are read.
+    k = total_fn(MOVES, Payoff(1), lambda _: Q(0))
+    assert g.states(["C"], k) == list(g.strategies)
 
 
 def test_decision_play_lens():
@@ -689,6 +745,23 @@ def test_copy_decision_transport_is_the_pulled_back_continuation(n):
         if n > 1 or kk is not not_vectors:
             with pytest.raises(TypeMismatch):
                 apply_continuation(g.play(sigma), kk)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_copy_decision_play_rejects_values_that_are_not_vectors(n):
+    """Along a copy decision's play lens, a continuation into a set of atoms is a
+    type error as soon as the update reads a payoff coordinate (n >= 2); one
+    stage reads none, so it hands any value on."""
+    sets = [make_set([f"m{i}", f"n{i}"]) for i in range(n)]
+    g = copy_decision(sets)
+    s = g.strategies.elements[0]
+    for atoms in (make_set([5]), make_set(["ab"])):
+        k = total_fn(g.dst.forward, atoms, lambda _: atoms.elements[0])
+        if n == 1:
+            assert apply_continuation(g.play(s), k).values == ((),)
+        else:
+            with pytest.raises(TypeMismatch, match="has no coordinate"):
+                apply_continuation(g.play(s), k)
 
 
 def test_reach_matches_the_play_view_on_random_trees():

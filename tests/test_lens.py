@@ -1,5 +1,6 @@
 """Lens algebra: categorical laws, structure isomorphisms, contexts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from opengames.errors import EnumerationBound, TypeMismatch
 from opengames.finite import (
     Payoff,
+    TotalFn,
     UNIT,
     UNIT_SET,
     make_set,
@@ -24,6 +26,7 @@ from opengames.lenses import (
     default_continuations,
     diset_tensor,
     effect_lens,
+    factor_continuation,
     left_context,
     lens_compose,
     lens_identity,
@@ -383,3 +386,61 @@ def test_factor_tables_of_finite_products_are_not_checked_again(monkeypatch):
     with pytest.raises(TypeMismatch):
         left_context(lens_identity(f), Context(("C", "D"), k), Diset(f.forward, make_set(["r"])))
     assert scans
+
+
+def _product_continuation(rng, m, n):
+    """A random continuation on a product of two finite sets of sizes m and n."""
+    a = Diset(make_set([f"a{i}" for i in range(m)]), Payoff(1))
+    b = Diset(make_set([f"b{j}" for j in range(n)]), Payoff(1))
+    joint = diset_tensor(a, b)
+    q = lambda: (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),)
+    return a, b, total_fn(joint.forward, joint.backward, lambda _: (q(), q()))
+
+
+def test_factor_tables_read_by_index_equal_the_lookup():
+    """On a product domain a factor table is a stride (side 0) or a block (side 1)
+    of the joint table, equal to looking each row up."""
+    rng = random.Random("factor-stride")
+    for m in range(1, 5):
+        for n in range(1, 5):
+            a, b, k = _product_continuation(rng, m, n)
+            for side, own, partner in ((0, a, b), (1, b, a)):
+                for move in partner.forward:
+                    pair = (lambda y: (y, move)) if side == 0 else (lambda y: (move, y))
+                    want = tuple(k(pair(y))[side] for y in own.forward)
+                    got = factor_continuation(k, side, move, own)
+                    assert got == TotalFn(own.forward, own.backward, want), (m, n, side, move)
+
+
+def test_factor_tables_fall_back_to_lookup_without_recorded_factors(monkeypatch):
+    """A domain equal to the product but built by `make_set` records no factors,
+    so its factor tables are looked up row by row, with the same values."""
+    rng = random.Random("factor-lookup")
+    a, b, k = _product_continuation(rng, 3, 2)
+    flat = TotalFn(make_set(k.dom.elements), k.cod, k.values)
+    assert flat.dom == k.dom and flat.dom.factors is None and k.dom.factors is not None
+    calls = []
+    call = TotalFn.__call__
+
+    def counting(fn, x):
+        calls.append(fn)
+        return call(fn, x)
+
+    monkeypatch.setattr(TotalFn, "__call__", counting)
+    for side, own, partner in ((0, a, b), (1, b, a)):
+        for move in partner.forward:
+            by_index = factor_continuation(k, side, move, own)
+            assert not calls
+            assert factor_continuation(flat, side, move, own) == by_index
+            assert calls.count(flat) == len(own.forward)
+            calls.clear()
+
+
+def test_factor_tables_reject_a_partner_move_outside_the_partner_set():
+    rng = random.Random("factor-partner")
+    a, b, k = _product_continuation(rng, 2, 3)
+    flat = TotalFn(make_set(k.dom.elements), k.cod, k.values)
+    for table in (k, flat):
+        for side, own, stranger in ((0, a, "a0"), (1, b, "b0"), (0, a, "zz"), (1, b, [1])):
+            with pytest.raises(TypeMismatch):
+                factor_continuation(table, side, stranger, own)
