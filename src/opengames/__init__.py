@@ -104,7 +104,6 @@ from .morphisms import (
     vcompose,
 )
 from .solve import (
-    SolutionReport,
     nash_normal_form,
     nash_sequential,
     spe_sequential,

@@ -41,10 +41,13 @@ class NormalFormGame:
         return len(self.choices)
 
 
-def normal_form(choices, payoff) -> NormalFormGame:
+def _with_payoff_table(game, choices, payoff):
     choices = tuple(choices)
-    dom = flat_product(choices)
-    return NormalFormGame(choices, total_fn(dom, Payoff(len(choices)), payoff))
+    return game(choices, total_fn(flat_product(choices), Payoff(len(choices)), payoff))
+
+
+def normal_form(choices, payoff) -> NormalFormGame:
+    return _with_payoff_table(NormalFormGame, choices, payoff)
 
 
 def brute_nash(nf: NormalFormGame):
@@ -82,9 +85,7 @@ class SequentialGame:
 
 
 def sequential_game(choices, payoff) -> SequentialGame:
-    choices = tuple(choices)
-    dom = flat_product(choices)
-    return SequentialGame(choices, total_fn(dom, Payoff(len(choices)), payoff))
+    return _with_payoff_table(SequentialGame, choices, payoff)
 
 
 def strategic_extension(strategies: dict, prefix: tuple, stages: int) -> tuple:

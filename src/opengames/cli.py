@@ -30,8 +30,8 @@ from .cells import (
 )
 from .dsl import format_document, parse_document, with_article
 from .errors import EngineError, SourceError, TypeMismatch
-from .expr import eval_expr
-from .finite import UNIT, UNIT_SET, total_fn
+from .expr import certificate_to_json, eval_expr
+from .finite import UNIT, UNIT_SET, total_fn, value_to_json
 from .lenses import (
     apply_continuation,
     lens_compose,
@@ -113,30 +113,11 @@ def _read_input(path: str) -> str:
         raise UsageError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
 
-def _report(command, input_name, seed, max_table, results, witnesses, elapsed):
-    return {
-        "command": command,
-        "input": input_name,
-        "seed": seed,
-        "bounds": {"max_table": max_table},
-        "results": results,
-        "witnesses": witnesses,
-        "elapsed_ms": elapsed,
-    }
-
-
 def _render_text(report) -> str:
-    lines = [
-        f"command: {report['command']}",
-        f"input: {report['input']}",
-        f"seed: {report['seed']}",
-    ]
+    lines = [f"{key}: {report[key]}" for key in ("command", "input", "seed")]
     lines.append(f"results ({len(report['results'])}):")
     for item in report["results"]:
-        if isinstance(item, str):
-            lines.append(f"  {item}")
-        else:
-            lines.append(f"  {json.dumps(item, sort_keys=True)}")
+        lines.append("  " + (item if isinstance(item, str) else json.dumps(item, sort_keys=True)))
     lines.append(f"witnesses: {len(report['witnesses'])}")
     if report["elapsed_ms"] is not None:
         lines.append(f"elapsed_ms: {report['elapsed_ms']}")
@@ -186,6 +167,13 @@ def _expr_continuation(doc, expr_name, flag):
     return k
 
 
+def _rendered(solved, max_table):
+    """`solve`'s (profiles, certificates) as a report's results and witnesses."""
+    profiles, certificates = solved
+    return ([value_to_json(p) for p in profiles],
+            [certificate_to_json(c, max_table) for c in certificates])
+
+
 def _cmd_solve(args):
     doc = parse_document(_read_input(args.input))
     name = _pick_target(doc, args.mode, args.expr)
@@ -193,8 +181,7 @@ def _cmd_solve(args):
     if args.continuation is not None and kind != "expr":
         raise UsageError("--continuation only applies to states and separable")
     k = _expr_continuation(doc, name, args.continuation) if kind == "expr" else None
-    body = solve(kind, target, args.mode, k).to_json(args.max_table)
-    return args.input, body["results"], body.get("witnesses", []), 0
+    return (args.input, *_rendered(solve(kind, target, args.mode, k), args.max_table), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +291,11 @@ def bundled_document_text(name=_DEMO_PATH) -> str:
 def _cmd_demo(args):
     doc = parse_document(bundled_document_text())
     k = _expr_continuation(doc, "H", None)
-    states = solve("expr", doc.names["H"][1], "states", k).to_json(args.max_table)
-    separable = solve("expr", doc.names["H"][1], "separable", k).to_json(args.max_table)
-    results = [
-        {"mode": "states", "profiles": states["results"]},
-        {"mode": "separable", "profiles": separable["results"]},
-    ]
-    return _DEMO_PATH, results, separable.get("witnesses", []), 0
+    results = []
+    for mode in ("states", "separable"):  # only the separable solve has witnesses
+        profiles, witnesses = _rendered(solve("expr", doc.names["H"][1], mode, k), args.max_table)
+        results.append({"mode": mode, "profiles": profiles})
+    return _DEMO_PATH, results, witnesses, 0
 
 
 def _cmd_parse(args):
@@ -346,9 +331,15 @@ def main(argv=None) -> int:
     if input_name is None:  # textual parse output was already written
         return status
     elapsed = round((time.perf_counter() - started) * 1000, 3) if args.timing else None
-    report = _report(
-        args.command, input_name, args.seed, args.max_table, results, witnesses, elapsed
-    )
+    report = {
+        "command": args.command,
+        "input": input_name,
+        "seed": args.seed,
+        "bounds": {"max_table": args.max_table},
+        "results": results,
+        "witnesses": witnesses,
+        "elapsed_ms": elapsed,
+    }
     if args.format == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:

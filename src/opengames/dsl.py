@@ -82,10 +82,12 @@ from .lenses import (
 )
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+# A paren, an atom, a comment or a newline; any other character is a blank.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
 
 #: Deepest list nesting the reader accepts, far above any real document.
-#: The reader and the analysis recurse once per level, so the cap keeps
-#: hostile input from exhausting the interpreter's stack.
+#: The reader keeps an explicit stack, but the analysis recurses once per
+#: level, so the cap keeps hostile input from exhausting the interpreter's stack.
 MAX_DEPTH = 256
 
 
@@ -114,64 +116,37 @@ class SExpr:
 
 
 def tokenize(text: str):
+    """Tokens with 1-based line and column; blanks, newlines and comments are skipped."""
     out = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            out.append(Token(text[i:j], line, col))
-            col += j - i
-            i = j
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, start = line + 1, m.end()
+        elif tok[0] != ";":
+            out.append(Token(tok, line, m.start() - start + 1))
     return out
 
 
 def parse_sexprs(text: str):
-    tokens = tokenize(text)
-    pos = 0
-
-    def parse_node(depth):
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.col)
+    # Each open list's `(` token and items so far; the bottom entry holds the document.
+    stack = [(None, [])]
+    for tok in tokenize(text):
         if tok.text == "(":
-            if depth == MAX_DEPTH:
+            if len(stack) > MAX_DEPTH:
                 raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
-            pos += 1
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unclosed '('", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    break
-                items.append(parse_node(depth + 1))
-            return SExpr(None, tuple(items), tok.line, tok.col)
-        pos += 1
-        return SExpr(tok.text, None, tok.line, tok.col)
-
-    out = []
-    while pos < len(tokens):
-        out.append(parse_node(0))
-    return out
+            stack.append((tok, []))
+        elif tok.text == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected ')'", tok.line, tok.col)
+            opened, items = stack.pop()
+            stack[-1][1].append(SExpr(None, tuple(items), opened.line, opened.col))
+        else:
+            stack[-1][1].append(SExpr(tok.text, None, tok.line, tok.col))
+    opened, items = stack[-1]
+    if opened is not None:
+        raise ParseError("unclosed '('", opened.line, opened.col)
+    return items
 
 
 def format_sexpr(node: SExpr) -> str:
@@ -602,6 +577,8 @@ class _Analyzer:
             raise _err(form, "expected (extensive NAME PLAYERS TREE INFOSETS)")
         name = _need_atom(items[1], "a name")
         players = _need_int(items[2], "a player count")
+        if players < 0:
+            raise _err(items[2], f"a player count cannot be negative, found `{players}`")
         root = self._tree_node(items[3])
         groups = []
         for node in items[4:]:

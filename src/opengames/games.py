@@ -67,6 +67,7 @@ from .finite import (
     UNIT_SET,
     _derived_fn,
     _derived_set,
+    carrier_contains,
     enumerate_functions,
     flat_product,
     nested_product,
@@ -245,6 +246,14 @@ def _argmax(scores) -> list:
     return out
 
 
+def _check_payoffs(k: TotalFn, carrier) -> None:
+    """Raise unless `k` lands in the payoff carrier; a table built into that very
+    carrier, as every engine-built one is, passes without a look at its values."""
+    if not (k.cod is carrier or k.cod == carrier
+            or all(carrier_contains(carrier, v) for v in k.values)):
+        raise TypeMismatch(f"continuation values outside {carrier!r}")
+
+
 def _product_states(strategies: FiniteSet, dom: FiniteSet, radix: int, hs, top) -> list:
     """The strategies dom -> choices whose choice at each asked history, the
     `i`-th of `dom`, has its index in `top(i)`, in order.
@@ -296,6 +305,7 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
     def states(hs, k):
         if k.dom != y:
             raise TypeMismatch("continuation does not match the decision's choices")
+        _check_payoffs(k, dst.backward)
         top = _argmax([r[0] for r in k.values])
         return _product_states(strategies, x, len(y), hs, lambda i: top)
 
@@ -353,6 +363,7 @@ def copy_decision(sets) -> OpenGame:
         # Like `transport`: history i's choices are rows i * m to (i + 1) * m of `k`.
         if k.dom != out:
             raise TypeMismatch("continuation does not match the copy decision's target")
+        _check_payoffs(k, dst.backward)
         m, rows = len(last), k.values
         return _product_states(strategies, hist, m, hs,
                                lambda i: _argmax([r[n - 1] for r in rows[i * m:(i + 1) * m]]))

@@ -121,9 +121,6 @@ class MapTree:
     def apply(self, v):
         return _fill(self.template, v)
 
-    def kinds(self, acc: set):
-        acc.add(type(self).__name__)
-
 
 def _fill(node, v):
     kind = node[0]
@@ -155,9 +152,6 @@ def _coordinate(v, i):
 class Update:
     def apply(self, x, r):
         raise NotImplementedError
-
-    def kinds(self, acc: set):
-        acc.add(type(self).__name__)
 
 
 class UTable(Update):
@@ -197,10 +191,6 @@ class USecond(Update):
     def apply(self, x, r):
         return self.mapping.apply(r)
 
-    def kinds(self, acc):
-        super().kinds(acc)
-        self.mapping.kinds(acc)
-
 
 class UComp(Update):
     """Update of a composite lens: first's update fed by second's."""
@@ -213,11 +203,6 @@ class UComp(Update):
     def apply(self, x, q):
         return self.inner_update.apply(x, self.outer_update.apply(self.inner_view(x), q))
 
-    def kinds(self, acc):
-        super().kinds(acc)
-        self.inner_update.kinds(acc)
-        self.outer_update.kinds(acc)
-
 
 class UTensor(Update):
     def __init__(self, first, second):
@@ -226,11 +211,6 @@ class UTensor(Update):
 
     def apply(self, x, r):
         return (self.first.apply(x[0], r[0]), self.second.apply(x[1], r[1]))
-
-    def kinds(self, acc):
-        super().kinds(acc)
-        self.first.kinds(acc)
-        self.second.kinds(acc)
 
 
 class UCase(Update):
@@ -242,13 +222,19 @@ class UCase(Update):
     def apply(self, x, r):
         return self.branches[x.side].apply(x.value, r)
 
-    def kinds(self, acc):
-        super().kinds(acc)
-        for b in self.branches:
-            b.kinds(acc)
-
 
 SANCTIONED = {"UTable", "UProj2", "UConst", "USecond", "UComp", "UTensor", "UCase", "MapTree"}
+
+
+def _kinds(node, acc: set) -> set:
+    """The class names in an update tree: the node's, then those of every update
+    or carrier map held in its attributes, tuples such as `UCase.branches` included."""
+    acc.add(type(node).__name__)
+    for v in getattr(node, "__dict__", {}).values():
+        for part in v if isinstance(v, tuple) else (v,):
+            if isinstance(part, (Update, MapTree)):
+                _kinds(part, acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +406,7 @@ def swap_lens(a: Diset, b: Diset) -> Lens:
 def _update_samples(l: Lens):
     back = l.cod.backward
     if not is_enumerable(back):
-        kinds = set()
-        l.update.kinds(kinds)
-        unknown = kinds - SANCTIONED
+        unknown = _kinds(l.update, set()) - SANCTIONED
         if unknown:
             raise TypeMismatch(f"unsanctioned update constructors: {sorted(unknown)}")
     rs = probe_values(back)
@@ -475,11 +459,12 @@ def factor_continuation(k: TotalFn, side: int, partner_move, dst: Diset) -> Tota
     if factors is not None and len(factors) == 2 and factors[side] == dst.forward:
         j, width = factors[1 - side].index(partner_move), len(factors[1])
         rows = k.values[j::width] if side == 0 else k.values[j * width:(j + 1) * width]
-        vals = tuple([r[side] for r in rows])
-    elif side == 0:
-        vals = tuple(k((y, partner_move))[0] for y in dst.forward)
     else:
-        vals = tuple(k((partner_move, y))[1] for y in dst.forward)
+        rows = [k((y, partner_move) if side == 0 else (partner_move, y)) for y in dst.forward]
+    try:
+        vals = tuple([r[side] for r in rows])
+    except (TypeError, IndexError):  # a value that is not a pair has no component
+        raise TypeMismatch(f"continuation values outside {k.cod!r}") from None
     cod = k.cod
     parts = (cod.fst, cod.snd) if isinstance(cod, PairCarrier) else getattr(cod, "factors", None)
     derived = parts is not None and len(parts) == 2 and parts[side] == dst.backward

@@ -28,15 +28,16 @@ from .lenses import Diset, Lens, UTable, default_continuations
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def random_fraction(rng, low=-5, high=5, max_denominator=4) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(low * den, high * den), den)
+def random_fraction(rng) -> Fraction:
+    """A rational in [-5, 5] with denominator at most 4."""
+    den = rng.randint(1, 4)
+    return Fraction(rng.randint(-5 * den, 5 * den), den)
 
 
-def random_finite_set(rng, max_size=2, min_size=1, prefix=None) -> FiniteSet:
+def random_finite_set(rng, max_size=2, prefix=None) -> FiniteSet:
     if prefix is None:
         prefix = rng.choice(_LETTERS)
-    n = rng.randint(min_size, max_size)
+    n = rng.randint(1, max_size)
     return make_set(tuple(f"{prefix}{i}" for i in range(n)))
 
 
@@ -146,7 +147,8 @@ def random_shared_boundary_games(rng, count: int, max_strategies=3, max_size=2,
     return out
 
 
-def random_normal_form(rng, max_players=3, max_choices=3) -> NormalFormGame:
+def _random_classical(rng, build, max_players, max_choices):
+    """`build(choices, payoff)` over random choice sets and a random payoff table."""
     n = rng.randint(1, max_players)
     choices = [
         make_set(tuple(f"{_LETTERS[i]}{j}" for j in range(rng.randint(1, max_choices))))
@@ -156,17 +158,12 @@ def random_normal_form(rng, max_players=3, max_choices=3) -> NormalFormGame:
         profile: tuple(random_fraction(rng) for _ in range(n))
         for profile in flat_product(choices)
     }
-    return normal_form(choices, lambda p: table[p])
+    return build(choices, table)
+
+
+def random_normal_form(rng, max_players=3, max_choices=3) -> NormalFormGame:
+    return _random_classical(rng, normal_form, max_players, max_choices)
 
 
 def random_sequential(rng, max_players=3, max_choices=2) -> SequentialGame:
-    n = rng.randint(1, max_players)
-    choices = [
-        make_set(tuple(f"{_LETTERS[i]}{j}" for j in range(rng.randint(1, max_choices))))
-        for i in range(n)
-    ]
-    table = {
-        profile: tuple(random_fraction(rng) for _ in range(n))
-        for profile in flat_product(choices)
-    }
-    return sequential_game(choices, lambda p: table[p])
+    return _random_classical(rng, sequential_game, max_players, max_choices)

@@ -9,8 +9,6 @@ through one table, `SOLVERS`, keyed by (kind of target, mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classical import (
     NormalFormGame,
     SequentialGame,
@@ -24,7 +22,6 @@ from .expr import (
     GameExpr,
     Seq,
     Tensor,
-    certificate_to_json,
     eval_expr,
     separable_states_over,
     states_over,
@@ -37,7 +34,6 @@ from .finite import (
     _derived_fn,
     flat_product,
     flatten_value,
-    value_to_json,
 )
 from .games import copy_decision, decision
 
@@ -143,27 +139,6 @@ def spe_sequential(sq: SequentialGame):
     return [(prof, cert) for prof, (_, cert) in zip(flat, pairs)]
 
 
-@dataclass(frozen=True)
-class SolutionReport:
-    """What a solve run found, ready for rendering."""
-
-    mode: str
-    profiles: tuple
-    certificates: tuple  # empty unless the mode produces them
-
-    def to_json(self, max_table: int = 16):
-        body = {
-            "mode": self.mode,
-            "count": len(self.profiles),
-            "results": [value_to_json(p) for p in self.profiles],
-        }
-        if self.certificates:
-            body["witnesses"] = [
-                certificate_to_json(c, max_table) for c in self.certificates
-            ]
-        return body
-
-
 def _certified(pairs):
     """[(profile, certificate)] -> (profiles, certificates)."""
     return tuple(p for p, _ in pairs), tuple(c for _, c in pairs)
@@ -185,8 +160,9 @@ SOLVERS = {
 
 
 def solve(kind: str, target, mode: str, continuation: TotalFn | None = None):
-    """Solve `target`, a declaration of `kind`, in `mode`; `continuation` closes an expr."""
+    """(profiles, certificates) of `target`, a declaration of `kind`, in `mode`;
+    `continuation` closes an expr.  Certificates are empty unless the mode makes them."""
     solver = SOLVERS.get((kind, mode))
     if solver is None:
         raise TypeMismatch(f"mode {mode} does not solve a {kind}")
-    return SolutionReport(mode, *solver(target, continuation))
+    return solver(target, continuation)

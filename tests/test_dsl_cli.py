@@ -26,6 +26,16 @@ from opengames.errors import (
     ParseError,
     TypeMismatch,
 )
+from opengames.finite import Payoff, make_set
+from opengames.lenses import (
+    UNIT_DISET,
+    Diset,
+    assoc_lens,
+    counit_lens,
+    lenses_equal,
+    swap_lens,
+    unassoc_lens,
+)
 from opengames.solve import SOLVERS, nash_normal_form, solve
 
 PD_DOC = """\
@@ -154,6 +164,21 @@ def test_document_solves_like_the_programmatic_build():
     nf = doc.names["PDGAME"][1]
     assert nash_normal_form(nf) == [("D", "D")]
     assert brute_nash(nf) == [("D", "D")]
+    # The structure lens forms build what their library constructors build.
+    lenses = parse_document(
+        "(set A (a b))\n(set B (c))\n(diset DA A (real 1))\n(diset DB B (real 2))\n"
+        "(lens AS (assoc DA DB I))\n(lens UN (unassoc DA DB I))\n"
+        "(lens SW (swap DA DB))\n(lens CU (counit A))\n"
+    ).names
+    da = Diset(make_set(["a", "b"]), Payoff(1))
+    db = Diset(make_set(["c"]), Payoff(2))
+    for name, built in [
+        ("AS", assoc_lens(da, db, UNIT_DISET)),
+        ("UN", unassoc_lens(da, db, UNIT_DISET)),
+        ("SW", swap_lens(da, db)),
+        ("CU", counit_lens(da.forward)),
+    ]:
+        assert lenses_equal(lenses[name][1], built), name
 
 
 def err_span(exc_info):
@@ -414,6 +439,7 @@ def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
     cases = [
         ("(bad)\n", "1:2: unknown declaration"),
         ("(diset D unit (real -1))\n", "1:21: a payoff dimension cannot be negative"),
+        ("(extensive E -1 (leaf l ()))\n", "1:14: a player count cannot be negative"),
         ("(" * 5000 + ")" * 5000 + "\n", f"1:{MAX_DEPTH + 1}: nesting deeper than"),
         ("(set A (a b c d e f g h i j k))\n(payoff P (A A A A A A) 1)\n", "2:1: 1771561 tuples"),
     ]
@@ -570,6 +596,27 @@ def test_market_tree_reports_match_golden_files(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", mode])
         assert code == 0
         assert out == (GOLDEN / f"market_tree_{mode}.json").read_text(encoding="utf-8")
+
+
+def test_parse_reports_match_golden_files(capsys, monkeypatch):
+    """`og parse` of the market document, json and text, pinned byte for byte."""
+    for argv, golden in ((["parse", "--input", "-"], "market_parse.json"),
+                         (["parse", "--input", "-", "--format", "text"], "market_parse.og")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(bundled_document_text()))
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_parse_errors_match_golden_file(capsys, monkeypatch):
+    """Stderr and exit code of `og parse` on each broken input, in the layout of
+    CI's shell loop: the file name, what `og` wrote, then `exit N`."""
+    lines = []
+    for path in sorted((GOLDEN / "broken").glob("*.og")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_bytes().decode("utf-8")))
+        code, out, err = run_cli(capsys, ["parse", "--input", "-"])
+        lines.append(f"{path.name}\n{out}{err}exit {code}\n")
+    assert "".join(lines) == (GOLDEN / "parse_errors.txt").read_text(encoding="utf-8")
 
 
 def test_parse_subcommand_json_and_text(tmp_path, capsys):

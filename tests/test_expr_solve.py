@@ -89,12 +89,10 @@ def test_nash_matches_brute_force(rng):
 
 
 def test_solve_normal_form_report():
-    report = solve("normal-form", PD, "nash")
-    assert report.mode == "nash"
-    assert [format_value(p) for p in report.profiles] == ["(D, D)"]
-    body = report.to_json()
-    assert body["count"] == 1
-    assert "witnesses" not in body
+    profiles, certificates = solve("normal-form", PD, "nash")
+    assert [format_value(p) for p in profiles] == ["(D, D)"]
+    assert len(profiles) == 1
+    assert certificates == ()
 
 
 # ---------- sequential solving ----------
@@ -145,9 +143,10 @@ def test_refined_solutions_are_solutions(rng):
 
 def test_solve_sequential_modes():
     sq = ultimatum()
-    assert solve("sequential", sq, "nash").mode == "nash"
-    report = solve("sequential", sq, "spe")
-    assert len(report.profiles) == len(report.certificates) == 1
+    profiles, certificates = solve("sequential", sq, "nash")
+    assert len(profiles) == 3 and certificates == ()
+    profiles, certificates = solve("sequential", sq, "spe")
+    assert len(profiles) == len(certificates) == 1
     with pytest.raises(TypeMismatch):
         solve("sequential", sq, "minimax")
 
@@ -505,9 +504,10 @@ def test_separable_checks_the_continuation_boundary():
 def test_solve_expr_modes():
     expr = Atom(decision(UNIT_SET, MOVES))
     k = total_fn(MOVES, Payoff(1), {"C": (Q(0),), "D": (Q(1),)})
-    assert len(solve("expr", expr, "states", k).profiles) == 1
-    report = solve("expr", expr, "separable", k)
-    assert len(report.certificates) == 1
+    profiles, _ = solve("expr", expr, "states", k)
+    assert len(profiles) == 1
+    _, certificates = solve("expr", expr, "separable", k)
+    assert len(certificates) == 1
     with pytest.raises(TypeMismatch):
         solve("expr", expr, "nash", k)
 
@@ -559,11 +559,11 @@ def test_separable_profiles_come_in_composite_strategy_order(rng):
 def test_flat_and_nested_products_list_histories_in_one_order(rng):
     """A stage strategy keeps its table when relabelled from nested to flat histories."""
     from opengames.finite import flat_product, nest_value, nested_product
-    from opengames.sampling import random_finite_set
 
     for n in range(5):
-        for _ in range(10):
-            sets = [random_finite_set(rng, 3, min_size=0, prefix=f"h{i}") for i in range(n)]
+        for _ in range(10):  # sets of 0 to 3 elements, the empty set included
+            sets = [make_set(tuple(f"h{i}{j}" for j in range(rng.randint(0, 3))))
+                    for i in range(n)]
             assert [nest_value(xs) for xs in flat_product(sets)] == list(nested_product(sets))
 
 

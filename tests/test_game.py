@@ -141,6 +141,54 @@ def test_one_shot_states_reject_a_continuation_on_another_domain():
     assert g.states(["C"], k) == list(g.strategies)
 
 
+def test_one_shot_states_reject_a_continuation_off_their_payoff_carrier():
+    """A continuation on the right domain whose values are not payoffs of the
+    game's dimension is a type error wherever states or best responses are
+    asked, also through a tensor: a Q^2 table is not scored by its first
+    coordinate, strings are not compared as strings, and ints do not end in
+    a raw `TypeError`."""
+    from opengames.expr import Atom, Tensor, eval_expr, separable_states_over, states_over
+
+    g = decision(UNIT_SET, MOVES)
+    wide = total_fn(MOVES, Payoff(2), {"C": Q(1) + Q(0), "D": Q(2) + Q(-5)})
+    ints = total_fn(MOVES, make_set([5, 6]), {"C": 5, "D": 6})
+    strs = total_fn(MOVES, make_set(["x10", "x9"]), {"C": "x10", "D": "x9"})
+    probes = [
+        lambda g, k: game_states(g, k),
+        lambda g, k: separable_states_over(Atom(g), k),
+        lambda g, k: g.relation(next(iter(g.src.forward)), k, {}),
+        lambda g, k: g.responses(next(iter(g.src.forward)), k, next(iter(g.strategies))),
+        lambda g, k: best_response(g, Context(next(iter(g.src.forward)), k),
+                                   *[next(iter(g.strategies))] * 2),
+    ]
+    for k in (wide, ints, strs):
+        for probe in probes:
+            with pytest.raises(TypeMismatch):
+                probe(g, k)
+    c = copy_decision([MOVES, MOVES])
+    out = c.dst.forward
+    for k in (
+        total_fn(out, Payoff(3), lambda _: (Fraction(0),) * 3),
+        total_fn(out, make_set([5]), lambda _: 5),
+        total_fn(out, make_set(["ab"]), lambda _: "ab"),
+    ):
+        for probe in probes:
+            with pytest.raises(TypeMismatch):
+                probe(c, k)
+    both = Tensor(Atom(decision(UNIT_SET, MOVES)), Atom(decision(UNIT_SET, MOVES)))
+    joint = eval_expr(both).dst.forward
+    for dom in (joint, make_set(joint.elements)):  # factor tables by index, then by lookup
+        for k in (total_fn(dom, make_set([5]), lambda _: 5),
+                  total_fn(dom, make_set(["x"]), lambda _: "x"),
+                  total_fn(dom, make_set([(Q(0),)]), lambda _: (Q(0),))):  # no right part
+            with pytest.raises(TypeMismatch):
+                states_over(both, k)
+    # A table into an equal carrier, or checked values in a wider one, is read.
+    same = total_fn(MOVES, Payoff(1), {"C": Q(0), "D": Q(1)})
+    loose = total_fn(MOVES, make_set([Q(0), Q(1)]), {"C": Q(0), "D": Q(1)})
+    assert game_states(g, same) == game_states(g, loose) == [const_strategy(g, "D")]
+
+
 def test_decision_play_lens():
     g = decision(MOVES, MOVES)
     flip = total_fn(MOVES, MOVES, {"C": "D", "D": "C"})

@@ -319,16 +319,39 @@ def Lens_swapping_payoff(d):
 
 
 def test_lenses_equal_rejects_unsanctioned_updates():
+    """An unknown update is found wherever it sits in the update tree; each lens
+    here is well formed, so a missed one would be applied and compare equal."""
+    from opengames.lenses import (
+        Lens, MapTree, UCase, UComp, USecond, UTensor, copair_lenses, coproduct_diset, leaf,
+    )
+
     class Sneaky(Update):
         def apply(self, x, r):
             return r
 
-    d = Diset(make_set(["x"]), Payoff(1))
-    from opengames.lenses import Lens
+    class SneakyMap(MapTree):
+        pass
 
-    a = Lens(d, d, total_fn(d.forward, d.forward, {"x": "x"}), Sneaky())
-    with pytest.raises(TypeMismatch):
-        lenses_equal(a, lens_identity(d))
+    d = Diset(make_set(["x"]), Payoff(1))
+    dd = diset_tensor(d, d)
+    ident, both = lens_identity(d), lens_identity(dd)
+    cop, _ = coproduct_diset([d, d])
+    copair = copair_lenses([ident, ident])
+    for dom, update, other in [
+        (d, Sneaky(), ident),
+        (d, UComp(UProj2(), ident.view, Sneaky()), ident),
+        (d, UComp(Sneaky(), ident.view, UProj2()), ident),
+        (dd, UTensor(UProj2(), Sneaky()), both),
+        (cop, UCase((UProj2(), Sneaky())), copair),
+        (d, USecond(SneakyMap(d.backward, d.backward, leaf())), ident),
+    ]:
+        a = Lens(dom, other.cod, other.view, update)
+        with pytest.raises(TypeMismatch, match="unsanctioned"):
+            lenses_equal(a, other)
+    # Sanctioned updates on the same payoff carriers pass, a copair's case split included.
+    assert lenses_equal(copair, copair_lenses([ident, ident]))
+    assert lenses_equal(Lens(d, d, ident.view, USecond(MapTree(d.backward, d.backward, leaf()))),
+                        ident)
 
 
 def test_lenses_equal_bound():
