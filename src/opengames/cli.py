@@ -307,17 +307,21 @@ def _cmd_parse(args):
     return args.input, results, [], 0
 
 
+# Built once per process; `main` keeps no state between calls, so it may be called again.
+_PARSER = build_parser()
+_HANDLERS = {
+    "solve": _cmd_solve,
+    "laws": _cmd_laws,
+    "demo": _cmd_demo,
+    "parse": _cmd_parse,
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "laws": _cmd_laws,
-        "demo": _cmd_demo,
-        "parse": _cmd_parse,
-    }
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
-        input_name, results, witnesses, status = handlers[args.command](args)
+        input_name, results, witnesses, status = _HANDLERS[args.command](args)
     except SourceError as e:
         where = getattr(args, "input", "<input>")
         print(f"{where}:{e}", file=sys.stderr)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classical import ExtensiveGame, TreeNode, normal_form, sequential_game
 from .errors import (
@@ -81,7 +82,7 @@ from .lenses import (
     unassoc_lens,
 )
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
 # A paren, an atom, a comment or a newline; any other character is a blank.
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
 
@@ -96,15 +97,7 @@ MAX_DEPTH = 256
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class SExpr:
+class SExpr(NamedTuple):
     atom: object  # str for atoms, None for lists
     items: object  # tuple for lists, None for atoms
     line: int
@@ -116,7 +109,7 @@ class SExpr:
 
 
 def tokenize(text: str):
-    """Tokens with 1-based line and column; blanks, newlines and comments are skipped."""
+    """`(text, line, col)` tuples, 1-based; blanks, newlines and comments are skipped."""
     out = []
     line, start = 1, 0  # the current line and the offset where it starts
     for m in _TOKEN.finditer(text):
@@ -124,28 +117,29 @@ def tokenize(text: str):
         if tok == "\n":
             line, start = line + 1, m.end()
         elif tok[0] != ";":
-            out.append(Token(tok, line, m.start() - start + 1))
+            out.append((tok, line, m.start() - start + 1))
     return out
 
 
 def parse_sexprs(text: str):
-    # Each open list's `(` token and items so far; the bottom entry holds the document.
-    stack = [(None, [])]
-    for tok in tokenize(text):
-        if tok.text == "(":
-            if len(stack) > MAX_DEPTH:
-                raise ParseError(f"nesting deeper than {MAX_DEPTH}", tok.line, tok.col)
-            stack.append((tok, []))
-        elif tok.text == ")":
-            if len(stack) == 1:
-                raise ParseError("unexpected ')'", tok.line, tok.col)
-            opened, items = stack.pop()
-            stack[-1][1].append(SExpr(None, tuple(items), opened.line, opened.col))
+    items = []  # the innermost open list's items; at depth 0, the document's
+    stack = []  # per open list: the items around it, and the line and col of its `(`
+    for tok, line, col in tokenize(text):
+        if tok == "(":
+            if len(stack) >= MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH}", line, col)
+            stack.append((items, line, col))
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", line, col)
+            outer, line, col = stack.pop()
+            outer.append(SExpr(None, tuple(items), line, col))
+            items = outer
         else:
-            stack[-1][1].append(SExpr(tok.text, None, tok.line, tok.col))
-    opened, items = stack[-1]
-    if opened is not None:
-        raise ParseError("unclosed '('", opened.line, opened.col)
+            items.append(SExpr(tok, None, line, col))
+    if stack:
+        raise ParseError("unclosed '('", stack[-1][1], stack[-1][2])
     return items
 
 
@@ -231,6 +225,13 @@ def _need_int(node, what):
         raise _err(node, f"expected {what}, found `{text}`") from None
 
 
+def _need_count(node, what, noun):
+    n = _need_int(node, what)
+    if n < 0:
+        raise _err(node, f"{noun} cannot be negative, found `{n}`")
+    return n
+
+
 class _Analyzer:
     def __init__(self, forms):
         self.forms = forms
@@ -306,12 +307,13 @@ class _Analyzer:
 
     def _rational(self, node):
         text = _need_atom(node, "a rational")
-        if not _RATIONAL.match(text):
+        m = _RATIONAL.match(text)
+        if not m:
             raise _err(node, f"expected a rational, found `{text}`")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise _err(node, f"`{text}` has a zero denominator") from None
+        den = int(m[2] or 1)
+        if not den:
+            raise _err(node, f"`{text}` has a zero denominator")
+        return Fraction(int(m[1]), den)
 
     def _rows(self, where, nodes, fwd, carrier, what):
         """Arrow rows (V -> V) as a total table fwd -> carrier."""
@@ -363,10 +365,7 @@ class _Analyzer:
             return self._lookup(node, "set")
         items = node.items
         if len(items) == 2 and items[0].is_atom and items[0].atom == "real":
-            dim = _need_int(items[1], "a dimension")
-            if dim < 0:
-                raise _err(items[1], f"a payoff dimension cannot be negative, found `{dim}`")
-            return Payoff(dim)
+            return Payoff(_need_count(items[1], "a dimension", "a payoff dimension"))
         raise _err(node, "expected a set name, `unit` or (real N)")
 
     def _form_diset(self, form, items):
@@ -396,7 +395,7 @@ class _Analyzer:
             raise _err(form, "expected (payoff NAME (SETS) DIM ROWS)")
         name = _need_atom(items[1], "a payoff name")
         doms = [self._lookup(s, "set") for s in _need_list(items[2], "domain sets")]
-        dim = _need_int(items[3], "a dimension")
+        dim = _need_count(items[3], "a dimension", "a payoff dimension")
         dom_set = nested_product(doms)
         table = {}
         for row in items[4:]:
@@ -576,9 +575,7 @@ class _Analyzer:
         if len(items) < 4:
             raise _err(form, "expected (extensive NAME PLAYERS TREE INFOSETS)")
         name = _need_atom(items[1], "a name")
-        players = _need_int(items[2], "a player count")
-        if players < 0:
-            raise _err(items[2], f"a player count cannot be negative, found `{players}`")
+        players = _need_count(items[2], "a player count", "a player count")
         root = self._tree_node(items[3])
         groups = []
         for node in items[4:]:

@@ -2,6 +2,9 @@
 
 import io
 import json
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,11 +90,12 @@ def solvables(doc):
 
 def test_tokenizer_tracks_positions():
     toks = tokenize("(set A (x))\n; ignored\n  next")
-    assert (toks[0].text, toks[0].line, toks[0].col) == ("(", 1, 1)
-    assert (toks[1].text, toks[1].line, toks[1].col) == ("set", 1, 2)
-    assert toks[-1].text == "next"
-    assert (toks[-1].line, toks[-1].col) == (3, 3)
-    assert all(t.text != "ignored" for t in toks)
+    assert toks[0] == ("(", 1, 1)
+    assert toks[1] == ("set", 1, 2)
+    text, line, col = toks[-1]
+    assert text == "next"
+    assert (line, col) == (3, 3)
+    assert all(text != "ignored" for text, _, _ in toks)
 
 
 def test_parse_error_positions():
@@ -105,6 +109,89 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_sexprs("\n " + "(" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1))
     assert (e.value.line, e.value.col) == (2, MAX_DEPTH + 2)
+
+
+def _reference_read(text):
+    """A character-at-a-time reader with `parse_sexprs`'s semantics.
+
+    Nodes are `(atom or tuple of nodes, line, col)`; an error is
+    `(message, line, col)`.  Blanks are space, tab and CR; `;` starts a
+    comment that runs to the end of the line; any other character that is
+    not a paren belongs to an atom.
+    """
+    tokens, line, col, i = [], 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif c in " \t\r":
+            col, i = col + 1, i + 1
+        elif c == ";":
+            while i < len(text) and text[i] != "\n":
+                col, i = col + 1, i + 1
+        elif c in "()":
+            tokens.append((c, line, col))
+            col, i = col + 1, i + 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in " \t\r\n();":
+                j += 1
+            tokens.append((text[i:j], line, col))
+            col, i = col + j - i, j
+
+    class Failed(Exception):
+        pass
+
+    pos = 0
+
+    def node(depth):
+        nonlocal pos
+        tok, tline, tcol = tokens[pos]
+        pos += 1
+        if tok == ")":
+            raise Failed("unexpected ')'", tline, tcol)
+        if tok != "(":
+            return (tok, tline, tcol)
+        if depth > MAX_DEPTH:
+            raise Failed(f"nesting deeper than {MAX_DEPTH}", tline, tcol)
+        items = []
+        while True:
+            if pos == len(tokens):
+                raise Failed("unclosed '('", tline, tcol)
+            if tokens[pos][0] == ")":
+                pos += 1
+                return (tuple(items), tline, tcol)
+            items.append(node(depth + 1))
+
+    forms = []
+    try:
+        while pos < len(tokens):
+            forms.append(node(1))
+    except Failed as e:
+        return e.args
+    return forms
+
+
+def _positioned(node):
+    inner = node.atom if node.is_atom else tuple(_positioned(i) for i in node.items)
+    return (inner, node.line, node.col)
+
+
+def test_reader_matches_a_reference_reader():
+    rng = random.Random(1711)
+    alphabet = " \t\r\n();ab*-1/2\x0c é"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(40)))
+             for _ in range(3000)]
+    texts += ["\n " + "(" * d + "a" + ")" * d for d in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)]
+    outcomes = {"read": 0, "error": 0}
+    for text in texts:
+        try:
+            got = [_positioned(n) for n in parse_sexprs(text)]
+        except ParseError as e:
+            got = (e.message, e.line, e.col)
+        outcomes["read" if isinstance(got, list) else "error"] += 1
+        assert got == _reference_read(text), repr(text)
+    assert min(outcomes.values()) > 500
 
 
 sexpr_data = st.recursive(
@@ -311,6 +398,31 @@ def write_doc(tmp_path, text, name="doc.og"):
     return str(path)
 
 
+def test_cli_is_reentrant_in_one_interpreter(tmp_path, capsys):
+    """`main` called again and again in one process answers as a fresh `og` does."""
+    doc = write_doc(tmp_path, PD_DOC)
+    broken = write_doc(tmp_path, "(set A (a a))\n", "broken.og")
+    invocations = [
+        ["solve", "--input", doc, "--mode", "nash", "--format", "text"],
+        ["solve", "--input", doc, "--mode", "nash"],
+        ["parse", "--input", doc],
+        ["laws", "--trials", "1"],
+        ["solve", "--input", doc, "--mode", "bogus"],
+        ["parse", "--input", broken],
+    ]
+    fresh = [subprocess.Popen([sys.executable, "-m", "opengames.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv in invocations]
+    for argv, proc in zip(invocations, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = proc.communicate(timeout=60)
+        assert (code, *capsys.readouterr()) == (proc.returncode, out, err), argv
+    assert [p.returncode for p in fresh] == [0, 0, 0, 0, 2, 2]
+
+
 def test_solve_normal_form_json(tmp_path, capsys):
     path = write_doc(tmp_path, PD_DOC)
     code, out, err = run_cli(capsys, ["solve", "--input", path, "--mode", "nash"])
@@ -439,6 +551,8 @@ def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
     cases = [
         ("(bad)\n", "1:2: unknown declaration"),
         ("(diset D unit (real -1))\n", "1:21: a payoff dimension cannot be negative"),
+        ("(payoff P () -1 (() -> ()))\n", "1:14: a payoff dimension cannot be negative, found `-1`"),
+        ("(payoff P () -1)\n", "1:14: a payoff dimension cannot be negative, found `-1`"),
         ("(extensive E -1 (leaf l ()))\n", "1:14: a player count cannot be negative"),
         ("(" * 5000 + ")" * 5000 + "\n", f"1:{MAX_DEPTH + 1}: nesting deeper than"),
         ("(set A (a b c d e f g h i j k))\n(payoff P (A A A A A A) 1)\n", "2:1: 1771561 tuples"),

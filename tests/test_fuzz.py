@@ -35,7 +35,7 @@ SMALL_DOC = """\
 """
 
 SEEDS = [
-    [t.text for t in tokenize(text)]
+    [tok for tok, _, _ in tokenize(text)]
     for text in (
         bundled_document_text(),
         (Path(__file__).parent / "golden" / "three_stage.og").read_text("utf-8"),
