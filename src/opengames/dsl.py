@@ -91,6 +91,17 @@ _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
 #: level, so the cap keeps hostile input from exhausting the interpreter's stack.
 MAX_DEPTH = 256
 
+#: Deepest composition a declaration may have.  A `set`, `diset`, `lens` or
+#: `expr` is 1 deeper than the deepest name or part it is built from, and a
+#: `compose` one more per part after the second; a `payoff` is as deep as its
+#: deepest domain set plus one per set after the first, a game as its deepest
+#: part, and a normal-form or sequential game as its number of players.
+#: The engine recurses through names as well as nested forms: under `og solve`
+#: on CPython 3.10-3.13 an inline `tensor` overflowed the default recursion
+#: limit beyond depth 245, a named `seq` or `product` chain beyond 327, so
+#: half the reader's cap leaves room for both at once.
+MAX_COMPOSITION = MAX_DEPTH // 2
+
 
 # ---------------------------------------------------------------------------
 # Reading: tokens and s-expressions with source positions.
@@ -236,6 +247,7 @@ class _Analyzer:
     def __init__(self, forms):
         self.forms = forms
         self.doc = Document({}, list(forms))
+        self.depths = {}  # name -> composition depth, for sets, disets, lenses, exprs and payoffs
 
     def run(self) -> Document:
         for form in self.forms:
@@ -246,13 +258,41 @@ class _Analyzer:
             handler = getattr(self, "_form_" + head.replace("-", "_"), None)
             if handler is None:
                 raise _err(items[0], f"unknown declaration `{head}`")
+            depth = self._composition_depth(form, head, items[2:])
             try:
                 handler(form, items)
             except SourceError:
                 raise
             except EngineError as e:  # e.g. a bound hit outside any `_engine` span
                 raise _err(form, str(e)) from e
+            if depth is not None and head != "game":
+                self.depths[items[1].atom] = depth
         return self.doc
+
+    def _composition_depth(self, form, head, body):
+        """The depth of a set, diset, lens, expr, game or payoff declaration, checked
+        against `MAX_COMPOSITION` before the form is analysed; None for others."""
+        if head not in ("set", "diset", "lens", "expr", "game", "payoff"):
+            return None
+        if head == "payoff":  # the domain nests one pair per set after the first
+            sets = body[0].items if body and not body[0].is_atom else ()
+            depth = max(len(sets) - 1, 0) + max(map(self._depth, sets), default=0)
+        elif len(body) == 1 and not body[0].is_atom:
+            depth = self._depth(body[0]) - (head == "game")
+        else:
+            depth = 1 + max(map(self._depth, body), default=0)
+        if depth > MAX_COMPOSITION:
+            raise _err(form, f"composition depth {depth} exceeds {MAX_COMPOSITION}")
+        return depth
+
+    def _depth(self, node):
+        """1 plus the deepest part of a form, its head aside, and one more per
+        `compose` part after the second; a name is as deep as its declaration."""
+        if node.is_atom:
+            return self.depths.get(node.atom, 0)
+        items = node.items
+        extra = max(len(items) - 3, 0) if items and items[0].atom == "compose" else 0
+        return 1 + extra + max(map(self._depth, items[1:]), default=0)
 
     # -- shared plumbing ----------------------------------------------------
 
@@ -310,10 +350,13 @@ class _Analyzer:
         m = _RATIONAL.match(text)
         if not m:
             raise _err(node, f"expected a rational, found `{text}`")
-        den = int(m[2] or 1)
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past the interpreter's limit on digits per integer
+            raise _err(node, f"`{text[:16]}...` has too many digits") from None
         if not den:
             raise _err(node, f"`{text}` has a zero denominator")
-        return Fraction(int(m[1]), den)
+        return Fraction(num, den)
 
     def _rows(self, where, nodes, fwd, carrier, what):
         """Arrow rows (V -> V) as a total table fwd -> carrier."""
@@ -558,6 +601,8 @@ class _Analyzer:
             raise _err(form, "expected (NAME (SETS) PAYOFF)")
         name = _need_atom(items[1], "a name")
         sets = self._choice_sets(items[2])
+        if len(sets) > MAX_COMPOSITION:  # the engine chains one decision per player
+            raise _err(form, f"composition depth {len(sets)} exceeds {MAX_COMPOSITION}")
         payoff = self._lookup(items[3], "payoff")
         if payoff.dom != nested_product(sets):
             raise _err(items[3], "payoff domain does not match the choice sets")

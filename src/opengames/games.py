@@ -77,8 +77,6 @@ from .lenses import (
     Context,
     Diset,
     Lens,
-    MapTree,
-    UConst,
     USecond,
     _NEST_RIGHT,
     _PAD_RIGHT,
@@ -300,7 +298,7 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
     dst = Diset(y, Payoff(1))
 
     def play(s):
-        return Lens(src, dst, s, UConst(UNIT))
+        return Lens(src, dst, s, USecond(lit(UNIT)))
 
     def states(hs, k):
         if k.dom != y:
@@ -334,7 +332,7 @@ def copy_decision(sets) -> OpenGame:
     src = Diset(hist, Payoff(n - 1))
     dst = Diset(out, Payoff(n))
     strategies = _derived_set(tuple(enumerate_functions(hist, last)))
-    drop = USecond(MapTree(Payoff(n), Payoff(n - 1), leaf((), take=tuple(range(n - 1)))))
+    drop = USecond(leaf((), take=tuple(range(n - 1))))
 
     def play(s):
         if n == 1:

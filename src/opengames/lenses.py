@@ -2,7 +2,7 @@
 
 A lens from (X, S) to (Y, R) is a view function X -> Y together with an
 update X x R -> S.  Views are finite tables.  Updates are symbolic terms
-(tables, projections, constants, rearrangement trees and their closures
+(tables, templates that rebuild the backward value, and their closures
 under composition, tensor and case split) so that payoff-space carriers,
 which cannot be tabulated, still compose.  Equality of lenses is always
 extensional: enumerable update domains are compared in full, payoff
@@ -70,7 +70,7 @@ def coproduct_diset(disets) -> tuple:
     injections = []
     for j, d in enumerate(disets):
         view = total_fn(d.forward, fwd, lambda x, j=j: Tag(j, x))
-        injections.append(Lens(d, cop, view, UProj2()))
+        injections.append(Lens(d, cop, view, USecond(leaf())))
     return cop, injections
 
 
@@ -89,7 +89,7 @@ def copair_lenses(lenses) -> "Lens":
 
 
 # ---------------------------------------------------------------------------
-# Symbolic maps between carriers (used on the backward side).
+# Templates: values rebuilt from paths into a source value.
 # ---------------------------------------------------------------------------
 
 
@@ -103,23 +103,6 @@ def lit(value):
 
 def pair_t(left, right):
     return ("pair", left, right)
-
-
-class MapTree:
-    """A map between carriers: the target is rebuilt from paths into the source value.
-
-    Template nodes are ("pair", l, r), ("lit", value) and
-    ("leaf", path, take) where `path` indexes into nested pairs of the
-    source and `take` optionally selects payoff coordinates.
-    """
-
-    def __init__(self, src, dst, template):
-        self.src = src
-        self.dst = dst
-        self.template = template
-
-    def apply(self, v):
-        return _fill(self.template, v)
 
 
 def _fill(node, v):
@@ -169,27 +152,20 @@ class UTable(Update):
             ) from None
 
 
-class UProj2(Update):
-    def apply(self, x, r):
-        return r
-
-
-class UConst(Update):
-    def __init__(self, value):
-        self.value = value
-
-    def apply(self, x, r):
-        return self.value
-
-
 class USecond(Update):
-    """Apply a carrier map to the backward value, ignoring the forward one."""
+    """Rebuild the backward value from a template, ignoring the forward value.
 
-    def __init__(self, mapping: MapTree):
-        self.mapping = mapping
+    Template nodes are ("pair", l, r), ("lit", value) and
+    ("leaf", path, take) where `path` indexes into nested pairs of the
+    backward value and `take` optionally selects payoff coordinates:
+    `leaf()` is the identity, `lit(v)` the constant v.
+    """
+
+    def __init__(self, template):
+        self.template = template
 
     def apply(self, x, r):
-        return self.mapping.apply(r)
+        return _fill(self.template, r)
 
 
 class UComp(Update):
@@ -223,16 +199,16 @@ class UCase(Update):
         return self.branches[x.side].apply(x.value, r)
 
 
-SANCTIONED = {"UTable", "UProj2", "UConst", "USecond", "UComp", "UTensor", "UCase", "MapTree"}
+SANCTIONED = {"UTable", "USecond", "UComp", "UTensor", "UCase"}
 
 
 def _kinds(node, acc: set) -> set:
     """The class names in an update tree: the node's, then those of every update
-    or carrier map held in its attributes, tuples such as `UCase.branches` included."""
+    held in its attributes, tuples such as `UCase.branches` included."""
     acc.add(type(node).__name__)
     for v in getattr(node, "__dict__", {}).values():
         for part in v if isinstance(v, tuple) else (v,):
-            if isinstance(part, (Update, MapTree)):
+            if isinstance(part, Update):
                 _kinds(part, acc)
     return acc
 
@@ -264,7 +240,7 @@ class Lens:
 
 
 def lens_identity(d: Diset) -> Lens:
-    lens = Lens(d, d, identity_fn(d.forward), UProj2())
+    lens = Lens(d, d, identity_fn(d.forward), USecond(leaf()))
     lens.is_identity = True
     return lens
 
@@ -296,13 +272,13 @@ def counit_lens(x: FiniteSet) -> Lens:
 
 def cartesian_lift(f: TotalFn, backward) -> Lens:
     """Lift a forward function to a lens that passes the backward value through."""
-    return Lens(Diset(f.dom, backward), Diset(f.cod, backward), f, UProj2())
+    return Lens(Diset(f.dom, backward), Diset(f.cod, backward), f, USecond(leaf()))
 
 
 def point_lens(d: Diset, h) -> Lens:
     """The state I -> d selecting history h."""
     view = const_fn(UNIT_SET, d.forward, h)
-    return Lens(UNIT_DISET, d, view, UConst(UNIT))
+    return Lens(UNIT_DISET, d, view, USecond(lit(UNIT)))
 
 
 def effect_lens(d: Diset, k: TotalFn) -> Lens:
@@ -355,7 +331,7 @@ def _rearrange_lens(dom: Diset, cod: Diset, forward, backward) -> Lens:
     Swapping the templates (and the disets) gives the inverse lens.
     """
     view = TotalFn(dom.forward, cod.forward, tuple(_fill(forward, v) for v in dom.forward))
-    return Lens(dom, cod, view, USecond(MapTree(cod.backward, dom.backward, backward)))
+    return Lens(dom, cod, view, USecond(backward))
 
 
 _NEST_RIGHT = pair_t(leaf([0, 0]), pair_t(leaf([0, 1]), leaf([1])))  # ((a, b), c) -> (a, (b, c))

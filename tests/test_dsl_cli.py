@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from opengames.classical import brute_nash
 from opengames.cli import bundled_document_text, main
 from opengames.dsl import (
+    MAX_COMPOSITION,
     MAX_DEPTH,
     format_document,
     format_sexpr,
@@ -548,6 +550,7 @@ def test_solve_domain_errors_exit_one(tmp_path, capsys):
 
 
 def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
+    past = f"composition depth {MAX_COMPOSITION + 1} exceeds {MAX_COMPOSITION}"
     cases = [
         ("(bad)\n", "1:2: unknown declaration"),
         ("(diset D unit (real -1))\n", "1:21: a payoff dimension cannot be negative"),
@@ -556,12 +559,88 @@ def test_parse_errors_exit_two_with_positions(tmp_path, capsys):
         ("(extensive E -1 (leaf l ()))\n", "1:14: a player count cannot be negative"),
         ("(" * 5000 + ")" * 5000 + "\n", f"1:{MAX_DEPTH + 1}: nesting deeper than"),
         ("(set A (a b c d e f g h i j k))\n(payoff P (A A A A A A) 1)\n", "2:1: 1771561 tuples"),
+        # More digits than the interpreter converts to an integer, on either side of the `/`.
+        ("(payoff P () 1 (() -> (" + "1" * 5000 + ")))\n", "1:24: `1111111111111111...` has too many digits"),
+        ("(payoff P () 1 (() -> (1/" + "1" * 5000 + ")))\n", "1:24: `1/11111111111111...` has too many digits"),
+        # Depth built up through names, nested forms or `compose` parts, one past the bound.
+        (_named_chain("seq", MAX_COMPOSITION + 1), f"{MAX_COMPOSITION + 2}:1: {past}"),
+        (_inline_tensor(MAX_COMPOSITION + 1), f"2:1: {past}"),
+        (_composed_lens(MAX_COMPOSITION + 1), f"3:1: {past}"),
+        (_set_chain(MAX_COMPOSITION + 1), f"{MAX_COMPOSITION + 1}:1: {past}"),
+        ("(set S (a))\n(payoff P (" + "S " * (MAX_COMPOSITION + 1) + ") 1)\n", f"2:1: {past}"),
+        (_players("normal-form", MAX_COMPOSITION + 1), f"2:1: {past}"),
     ]
     for text, expected in cases:
         path = write_doc(tmp_path, text)
         code, _, err = run_cli(capsys, ["parse", "--input", path])
         assert code == 2
         assert err.startswith(f"{path}:{expected}")
+
+
+def _named_chain(op, depth):
+    """`(expr Ei (op Ei-1 U))` over the unit game, composed `depth` deep."""
+    lines = ["(game U (unit I))", f"(expr E1 ({op} U U))"]
+    lines += [f"(expr E{i} ({op} E{i - 1} U))" for i in range(2, depth + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def _inline_tensor(depth):
+    """`depth` tensors nested in one form, closed by a one-row continuation."""
+    expr, value = "U", "*"
+    for _ in range(depth):
+        expr, value = f"(tensor {expr} U)", f"(pair {value} *)"
+    return f"(game U (unit I))\n(expr E {expr})\n(continuation K E ({value} -> {value}))\n"
+
+
+def _composed_lens(depth):
+    """A `compose` of `(id D)` parts, `depth` deep, played inside a `seq`."""
+    parts = " ".join(["(id D)"] * (depth - 2))  # `(id D)` is 3 deep; each part after the second adds 1
+    return ("(set S (a b))\n(diset D S (real 1))\n"
+            f"(lens L (compose {parts}))\n(game G (trivial-lens L))\n(game P (unit D))\n"
+            "(expr E (seq P (seq G P)))\n(continuation K E (a -> (vec 1)) (b -> (vec 2)))\n")
+
+
+def _set_chain(depth):
+    """`(set Si (prod Si-1 S1))`, `depth` deep, under a payoff with no rows."""
+    lines = ["(set S1 (a))"] + [f"(set S{i} (prod S{i - 1} S1))" for i in range(2, depth + 1)]
+    return "\n".join(lines) + f"\n(payoff P (S{depth}) 1)\n"
+
+
+def _players(kind, n):
+    """A normal-form or sequential game of `n` players with one move each; the
+    built-in `unit` adds no depth, so its payoff is within the bound at n = 129."""
+    sets, moves, zeros = " unit" * n, " *" * n, " 0" * n
+    return f"(payoff P ({sets[1:]}) {n} (({moves[1:]}) -> ({zeros[1:]})))\n({kind} N ({sets[1:]}) P)\n"
+
+
+def test_composition_at_the_bound_still_solves(tmp_path, capsys):
+    """The deepest chains the bound allows solve in-process, under pytest's own frames;
+    the `product` chain takes longest, so it runs in one mode only."""
+    depth = MAX_COMPOSITION
+    k = ["--continuation", "K"]
+    for text, argv in [
+        (_named_chain("seq", depth), ["--mode", "separable"]),
+        (_named_chain("product", depth), ["--mode", "states"]),
+        (_inline_tensor(depth), ["--mode", "states"] + k),
+        (_composed_lens(depth), ["--mode", "separable"] + k),
+        (_players("normal-form", depth), ["--mode", "nash"]),
+        (_players("sequential", depth), ["--mode", "spe"]),
+    ]:
+        code, out, err = run_cli(capsys, ["solve", "--input", write_doc(tmp_path, text)] + argv)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["results"]) == 1
+    code, _, err = run_cli(capsys, ["parse", "--input", write_doc(tmp_path, _set_chain(depth))])
+    assert code == 2 and err.startswith(f"{tmp_path / 'doc.og'}:{depth + 1}:1: missing row for ")
+
+
+def test_readme_python_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """The README's document saved as `pd.og`, its Python example run beside it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = dict(re.findall(r"```(lisp|python)\n(.*?)```", readme, re.S))
+    (tmp_path / "pd.og").write_text(blocks["lisp"], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(blocks["python"], {})
+    assert capsys.readouterr().out == "[('D', 'D')]\n"
 
 
 def test_zero_denominators_exit_two_with_position(capsys, monkeypatch):

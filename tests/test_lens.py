@@ -7,10 +7,12 @@ import pytest
 
 from opengames.errors import EnumerationBound, TypeMismatch
 from opengames.finite import (
+    PairCarrier,
     Payoff,
     TotalFn,
     UNIT,
     UNIT_SET,
+    identity_fn,
     make_set,
     total_fn,
 )
@@ -18,7 +20,7 @@ from opengames.lenses import (
     Context,
     Diset,
     UNIT_DISET,
-    UProj2,
+    USecond,
     Update,
     apply_continuation,
     assoc_lens,
@@ -27,6 +29,7 @@ from opengames.lenses import (
     diset_tensor,
     effect_lens,
     factor_continuation,
+    leaf,
     left_context,
     lens_compose,
     lens_identity,
@@ -34,8 +37,10 @@ from opengames.lenses import (
     lens_to_continuation,
     lens_to_point,
     lenses_equal,
+    lit,
     lunit_inv_lens,
     lunit_lens,
+    pair_t,
     point_lens,
     right_context,
     runit_inv_lens,
@@ -107,7 +112,7 @@ def test_view_must_match_boundary():
     from opengames.lenses import Lens
 
     with pytest.raises(TypeMismatch):
-        Lens(a, a, wrong, UProj2())
+        Lens(a, a, wrong, USecond(leaf()))
 
 
 # ---------- structure lenses are two-sided isomorphisms ----------
@@ -271,15 +276,15 @@ def test_contexts_reject_a_mismatched_factor_boundary():
 
 
 def test_transported_continuations_are_checked():
-    from opengames.lenses import Lens, UConst
+    from opengames.lenses import Lens
 
     d = Diset(make_set(["x"]), Payoff(1))
     view = total_fn(d.forward, d.forward, {"x": "x"})
     k = total_fn(d.forward, Payoff(1), lambda _: (Fraction(0),))
     for off in ((1,), (Fraction(0), Fraction(0))):
         with pytest.raises(TypeMismatch):
-            apply_continuation(Lens(d, d, view, UConst(off)), k)
-        effect = Lens(d, UNIT_DISET, total_fn(d.forward, UNIT_SET, lambda _: UNIT), UConst(off))
+            apply_continuation(Lens(d, d, view, USecond(lit(off))), k)
+        effect = Lens(d, UNIT_DISET, total_fn(d.forward, UNIT_SET, lambda _: UNIT), USecond(lit(off)))
         with pytest.raises(TypeMismatch):
             lens_to_continuation(effect)
 
@@ -311,25 +316,21 @@ def test_lenses_equal_uses_probes_on_payoff_carriers():
 
 
 def Lens_swapping_payoff(d):
-    from opengames.lenses import Lens, MapTree, USecond, leaf
+    from opengames.lenses import Lens
 
-    back = leaf(take=(1, 0))
-    return Lens(d, d, total_fn(d.forward, d.forward, {"x": "x"}),
-                USecond(MapTree(d.backward, d.backward, back)))
+    return Lens(d, d, total_fn(d.forward, d.forward, {"x": "x"}), USecond(leaf(take=(1, 0))))
 
 
 def test_lenses_equal_rejects_unsanctioned_updates():
     """An unknown update is found wherever it sits in the update tree; each lens
     here is well formed, so a missed one would be applied and compare equal."""
-    from opengames.lenses import (
-        Lens, MapTree, UCase, UComp, USecond, UTensor, copair_lenses, coproduct_diset, leaf,
-    )
+    from opengames.lenses import Lens, UCase, UComp, UTensor, copair_lenses, coproduct_diset
 
     class Sneaky(Update):
         def apply(self, x, r):
             return r
 
-    class SneakyMap(MapTree):
+    class SneakySecond(USecond):
         pass
 
     d = Diset(make_set(["x"]), Payoff(1))
@@ -339,19 +340,98 @@ def test_lenses_equal_rejects_unsanctioned_updates():
     copair = copair_lenses([ident, ident])
     for dom, update, other in [
         (d, Sneaky(), ident),
-        (d, UComp(UProj2(), ident.view, Sneaky()), ident),
-        (d, UComp(Sneaky(), ident.view, UProj2()), ident),
-        (dd, UTensor(UProj2(), Sneaky()), both),
-        (cop, UCase((UProj2(), Sneaky())), copair),
-        (d, USecond(SneakyMap(d.backward, d.backward, leaf())), ident),
+        (d, UComp(USecond(leaf()), ident.view, Sneaky()), ident),
+        (d, UComp(Sneaky(), ident.view, USecond(leaf())), ident),
+        (dd, UTensor(USecond(leaf()), Sneaky()), both),
+        (cop, UCase((USecond(leaf()), Sneaky())), copair),
+        (d, UComp(USecond(leaf()), ident.view, SneakySecond(leaf())), ident),
     ]:
         a = Lens(dom, other.cod, other.view, update)
         with pytest.raises(TypeMismatch, match="unsanctioned"):
             lenses_equal(a, other)
     # Sanctioned updates on the same payoff carriers pass, a copair's case split included.
     assert lenses_equal(copair, copair_lenses([ident, ident]))
-    assert lenses_equal(Lens(d, d, ident.view, USecond(MapTree(d.backward, d.backward, leaf()))),
-                        ident)
+    assert lenses_equal(Lens(d, d, ident.view, USecond(leaf())), ident)
+
+
+def _random_carrier(rng, depth=2):
+    """Q^1..Q^3, or a pair of such carriers."""
+    if depth and rng.random() < 0.4:
+        return PairCarrier(_random_carrier(rng, depth - 1), _random_carrier(rng, depth - 1))
+    return Payoff(rng.randint(1, 3))
+
+
+def _random_value(rng, carrier):
+    if isinstance(carrier, PairCarrier):
+        return (_random_value(rng, carrier.fst), _random_value(rng, carrier.snd))
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(carrier.dim))
+
+
+def _parts(carrier, path=()):
+    """(path, carrier) for a carrier and each of its components, nested ones included."""
+    yield path, carrier
+    if isinstance(carrier, PairCarrier):
+        yield from _parts(carrier.fst, path + (0,))
+        yield from _parts(carrier.snd, path + (1,))
+
+
+def _random_template(rng, src, dst):
+    """A template rebuilding a value of `dst` from one of `src`."""
+    same = [path for path, part in _parts(src) if part == dst]
+    if same and rng.random() < 0.3:
+        return leaf(rng.choice(same))
+    if isinstance(dst, PairCarrier):
+        return pair_t(_random_template(rng, src, dst.fst), _random_template(rng, src, dst.snd))
+    if rng.random() < 0.2:
+        return lit(_random_value(rng, dst))
+    path, part = rng.choice([(p, c) for p, c in _parts(src) if isinstance(c, Payoff)])
+    return leaf(path, take=tuple(rng.randrange(part.dim) for _ in range(dst.dim)))
+
+
+def _spelled_out(src, t):
+    """The same map as `t`, each whole-value leaf written one level further down."""
+    if t[0] == "pair":
+        return pair_t(_spelled_out(src, t[1]), _spelled_out(src, t[2]))
+    if t[0] == "lit" or t[2] is not None:
+        return t
+    part = dict(_parts(src))[t[1]]
+    if isinstance(part, PairCarrier):
+        return pair_t(leaf(t[1] + (0,)), leaf(t[1] + (1,)))
+    return leaf(t[1], take=tuple(range(part.dim)))
+
+
+def _redrawn(rng, src, dst, t):
+    """`t` with one part drawn again, which may or may not change the map."""
+    if t[0] == "pair":
+        if rng.random() < 0.5:
+            return pair_t(_redrawn(rng, src, dst.fst, t[1]), t[2])
+        return pair_t(t[1], _redrawn(rng, src, dst.snd, t[2]))
+    return _random_template(rng, src, dst)
+
+
+def test_probes_tell_template_updates_apart():
+    """`lenses_equal` on two template updates agrees with evaluating both on
+    random vectors, so the probes separate identities, constants and
+    rearrangements alike."""
+    from opengames.lenses import Lens
+
+    rng = random.Random("template-probes")
+    x = make_set(["x", "y"])
+    verdicts = []
+    for _ in range(300):
+        src, dst = _random_carrier(rng), _random_carrier(rng)
+        t = _random_template(rng, src, dst)
+        u = rng.choice([
+            lambda: _random_template(rng, src, dst),
+            lambda: _spelled_out(src, t),
+            lambda: _redrawn(rng, src, dst, t),
+        ])()
+        a, b = (Lens(Diset(x, dst), Diset(x, src), identity_fn(x), USecond(s)) for s in (t, u))
+        samples = [_random_value(rng, src) for _ in range(30)]
+        agree = all(a.update_at("x", r) == b.update_at("x", r) for r in samples)
+        assert lenses_equal(a, b) == agree, (src, dst, t, u)
+        verdicts.append(agree)
+    assert 50 < sum(verdicts) < 250
 
 
 def test_lenses_equal_bound():
