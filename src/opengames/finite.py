@@ -45,6 +45,14 @@ class Tag:
     side: int
     value: object
 
+    def __hash__(self):
+        # The generated hash walks the whole nested value, so it is computed
+        # once, with the same formula, keeping hash values and set orders.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.side, self.value))
+        return h
+
     def __repr__(self):
         return f"{inj_name(self.side)}({self.value!r})"
 

@@ -2,20 +2,22 @@
 
 A game from diset Phi to diset Psi carries a finite strategy set, a play
 lens Phi -> Psi for each strategy, and one best-response rule: at a
-context (history, continuation) its relation maps each strategy to its
-best responses (`OpenGame.relation`).  `best` is membership in a row of
-that relation, and `responses` is the row itself.  Composite strategy
-sets are products whose elements mirror the expression shape.
+context (history, continuation) it gives each strategy a row, an int
+whose bit `j` is set when the `j`-th strategy responds best
+(`OpenGame.rows`).  `relation` decodes the rows, `responses` one row,
+and `best` is membership in it.  Composite strategy sets are products
+whose elements mirror the expression shape.
 
-Each constructor builds its relation from its parts' relations: a
-decision shares one row, the strategies into its argmax, among all
-strategies; seq asks its first game once per cut a second-stage strategy
-leaves and its second game once per history handed on; tensor asks each
-factor once per partner move; a product asks only the tagged child.
-Relations are kept in a memo that the caller creates for one top-level
-check and shares between the games it asks, keyed by game and context,
-so a part met again in either game of a morphism is solved once and
-nothing outlives the check.
+Each constructor builds its rows from its parts' rows: a decision shares
+one row, the strategies into its argmax, among all strategies; seq asks
+its first game once per cut a second-stage strategy leaves and its
+second game once per history handed on; tensor asks each factor once per
+partner move; a product asks only the tagged child.  Pair `(i, j)` of a
+seq or tensor game sits at index `i * width + j`, so its row is index
+arithmetic on its parts' rows, as is a product's.  Rows are kept in a
+memo that the caller creates for one top-level check and shares between
+the games it asks, keyed by game and context, so a part met again in
+either game of a morphism is solved once and nothing outlives the check.
 
 States of seq, tensor and product games come from one join per
 combinator (`seq_states`, `tensor_states`, `product_states`).  A join
@@ -38,10 +40,10 @@ ordered pass over the first factor's strategies.
 
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
-product of trivial games and their reindexed boundaries.  Their relation
-is read off without a continuation or a memo entry, and the seq, tensor
-and product `relation` rules build no cut, factor or branch continuation
-for a trivial part; the states joins still do.
+product of trivial games and their reindexed boundaries.  Their rows
+are read off without a continuation or a memo entry, and the seq, tensor
+and product rules build no cut, factor or branch continuation for a
+trivial part; the states joins still do.
 
 A seq game pulls a continuation back to its cut stage by stage
 (`OpenGame.transport`), and seq, tensor and product games hand histories
@@ -50,12 +52,15 @@ composite play lens and each stage lens keeps its own tables; a copy
 decision reads its cut off the continuation's table, with no play lens.
 
 Tensor factor and product child continuations are kept per call in
-the joins and in `relation`, so no game keeps a table per continuation.
+the joins and in the rules, so no game keeps a table per continuation.
+A tensor game builds its boundaries once and its play lenses onto them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 from .errors import EmptyChoiceSet, TypeMismatch
 from .finite import (
@@ -80,6 +85,7 @@ from .lenses import (
     USecond,
     _NEST_RIGHT,
     _PAD_RIGHT,
+    _lens_tensor,
     _rearrange_lens,
     apply_continuation,
     branch_continuation,
@@ -91,7 +97,6 @@ from .lenses import (
     leaf,
     lens_compose,
     lens_identity,
-    lens_tensor,
     lit,
     pair_t,
 )
@@ -141,9 +146,9 @@ class OpenGame:
         """Whether `deviation` is a best response to `sigma` at the context."""
         return deviation in self.responses(history, continuation, sigma)
 
-    def relation(self, history, continuation, memo=None) -> dict:
-        """The best-response relation at one context: each strategy mapped to
-        its best responses, both in strategy order.
+    def rows(self, history, continuation, memo=None) -> tuple:
+        """The best-response relation at one context by strategy index: per
+        strategy an int whose bit `j` is set when the `j`-th responds best.
 
         A strategically trivial game relates its one strategy to itself
         without reading the continuation or its rule.  Tables are kept in
@@ -151,7 +156,7 @@ class OpenGame:
         creates for one check and shares between the games it asks.
         """
         if self.trivial:
-            return _trivial_relation(self)
+            return (1,)
         if memo is None:
             memo = {}
         key = (self, history, continuation)
@@ -163,16 +168,21 @@ class OpenGame:
             table = memo[key] = self._relation(history, continuation, memo)
         return table
 
+    def relation(self, history, continuation, memo=None) -> dict:
+        """`rows` decoded, each distinct row once: each strategy mapped to its
+        best responses, both in strategy order."""
+        elements = self.strategies.elements
+        decode = functools.cache(lambda row: _members(elements, row))
+        return {s: decode(row) for s, row in zip(elements, self.rows(history, continuation, memo))}
+
     def responses(self, history, continuation, sigma) -> tuple:
         """The best responses to `sigma` at one context, in order."""
-        relation = self.relation(history, continuation)
+        rows = self.rows(history, continuation)
         try:
-            row = relation.get(sigma)
-        except TypeError:  # unhashable, so not a strategy
-            row = None
-        if row is None:
-            raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}")
-        return row
+            i = self.strategies._index[sigma]
+        except (KeyError, TypeError):  # not a strategy, or unhashable
+            raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}") from None
+        return _members(self.strategies.elements, rows[i])
 
     def states(self, histories, k) -> list:
         """Strategies that best-respond to themselves at all `histories`, in order.
@@ -183,8 +193,8 @@ class OpenGame:
         if self._states is None or not histories:
             memo = {}
             return [
-                s for s in self.strategies
-                if all(s in self.relation(h, k, memo)[s] for h in histories)
+                s for i, s in enumerate(self.strategies)
+                if all(self.rows(h, k, memo)[i] >> i & 1 for h in histories)
             ]
         return self._states(histories, k)
 
@@ -193,22 +203,50 @@ class OpenGame:
         return f"{name}({self.src!r} -|> {self.dst!r}, |S|={len(self.strategies)})"
 
 
-def _trivial_relation(game: OpenGame) -> dict:
-    """A strategically trivial game's relation, the same at every context."""
-    return {s: (s,) for s in game.strategies}
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _row_product(built: dict, firsts: tuple, seconds: tuple) -> tuple:
-    """The pairs of two rows, built once per pair of row objects in one relation.
+def _members(elements: tuple, mask: int) -> tuple:
+    """The elements a row's bits index, in order."""
+    return tuple(elements[j] for j in _bits(mask))
 
-    Parts share rows between strategies, so pairs recur; `built` holds both
-    rows, which keeps their ids unique while it lives.
-    """
-    key = (id(firsts), id(seconds))
-    hit = built.get(key)
-    if hit is None:
-        hit = built[key] = (firsts, seconds, tuple(itertools.product(firsts, seconds)))
-    return hit[2]
+
+def _mask(indices) -> int:
+    return sum(1 << j for j in indices)
+
+
+def _spread(mask: int, width: int) -> int:
+    """`mask` with bit `a` moved to bit `a * width`."""
+    out = 0  # `_bits` inlined: a generator here costs three times the loop
+    while mask:
+        low = mask & -mask
+        out |= 1 << ((low.bit_length() - 1) * width)
+        mask ^= low
+    return out
+
+
+def _pair_rows(count: int, firsts: list, seconds) -> tuple:
+    """The rows of pairs `(i, j)`, at index `i * width + j`: the second part's
+    row `seconds(i)[j]` times the first part's `firsts[j][i]` spread to one bit
+    per block.  `seconds(i)` is asked once some `firsts[j][i]` is not empty."""
+    width = len(firsts)
+    out = []
+    for i in range(count):
+        right = None
+        for j, column in enumerate(firsts):
+            left = column[i]
+            if not left:
+                out.append(0)
+                continue
+            if right is None:
+                right = seconds(i)
+            out.append(right[j] and right[j] * _spread(left, width))
+    return tuple(out)
 
 
 def best_response(game: OpenGame, c: Context, sigma, deviation) -> bool:
@@ -252,9 +290,10 @@ def _check_payoffs(k: TotalFn, carrier) -> None:
         raise TypeMismatch(f"continuation values outside {carrier!r}")
 
 
-def _product_states(strategies: FiniteSet, dom: FiniteSet, radix: int, hs, top) -> list:
-    """The strategies dom -> choices whose choice at each asked history, the
-    `i`-th of `dom`, has its index in `top(i)`, in order.
+def _product_states(dom: FiniteSet, radix: int, hs, top):
+    """The indices of the strategies dom -> choices whose choice at each asked
+    history, the `i`-th of `dom`, has its index in `top(i)`, in order, as an
+    iterator.
 
     `enumerate_functions` lists a function space mixed-radix, the first
     history's choice most significant, so the answer is the product of
@@ -267,8 +306,7 @@ def _product_states(strategies: FiniteSet, dom: FiniteSet, radix: int, hs, top) 
     for h in hs:
         i = dom.index(h)  # raises TypeMismatch off the source, as `s(h)` would
         allowed[i] = [j * weights[i] for j in top(i)]
-    elements = strategies.elements
-    return [elements[sum(digits)] for digits in itertools.product(*allowed)]
+    return map(sum, itertools.product(*allowed))
 
 
 def unit_game(d: Diset) -> OpenGame:
@@ -305,11 +343,12 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
             raise TypeMismatch("continuation does not match the decision's choices")
         _check_payoffs(k, dst.backward)
         top = _argmax([r[0] for r in k.values])
-        return _product_states(strategies, x, len(y), hs, lambda i: top)
+        return list(map(strategies.elements.__getitem__,
+                        _product_states(x, len(y), hs, lambda i: top)))
 
     def relation(h, k, memo):
         # Every strategy has the same best responses: those into the argmax at h.
-        return dict.fromkeys(strategies, tuple(states((h,), k)))
+        return (_mask(map(strategies._index.__getitem__, states((h,), k))),) * len(strategies)
 
     return OpenGame(src, dst, strategies, play, relation, label="decision", states=states)
 
@@ -363,11 +402,12 @@ def copy_decision(sets) -> OpenGame:
             raise TypeMismatch("continuation does not match the copy decision's target")
         _check_payoffs(k, dst.backward)
         m, rows = len(last), k.values
-        return _product_states(strategies, hist, m, hs,
-                               lambda i: _argmax([r[n - 1] for r in rows[i * m:(i + 1) * m]]))
+        picked = _product_states(hist, m, hs,
+                                 lambda i: _argmax([r[n - 1] for r in rows[i * m:(i + 1) * m]]))
+        return list(map(strategies.elements.__getitem__, picked))
 
     def relation(h, k, memo):
-        return dict.fromkeys(strategies, tuple(states((h,), k)))
+        return (_mask(map(strategies._index.__getitem__, states((h,), k))),) * len(strategies)
 
     return OpenGame(src, dst, strategies, play, relation, label="copy-decision", states=states,
                     transport=transport)
@@ -393,19 +433,12 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
         # g is judged against the cut each second-stage strategy leaves, h at
         # the history each first-stage strategy hands on; a trivial g needs no cut.
         if g.trivial:
-            cuts = dict.fromkeys(h.strategies, _trivial_relation(g))
+            cuts = [(1,)] * len(h.strategies)
         else:
-            cuts = {t: g.relation(hist, h.transport(t, k), memo) for t in h.strategies}
-        out, built = {}, {}
-        for s in g.strategies:
-            seconds = None  # h's relation, asked once some first stage best-responds
-            for t in h.strategies:
-                firsts = cuts[t][s]
-                if firsts and seconds is None:
-                    # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
-                    seconds = h.relation(g.play(s).view(hist), k, memo)
-                out[(s, t)] = _row_product(built, firsts, seconds[t]) if firsts else ()
-        return out
+            cuts = [g.rows(hist, h.transport(t, k), memo) for t in h.strategies]
+        # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
+        return _pair_rows(len(g.strategies), cuts,
+                          lambda i: h.rows(g.play(g.strategies.elements[i]).view(hist), k, memo))
 
     return OpenGame(g.src, h.dst, strategies, play, relation, label="seq",
                     states=lambda hists, k: seq_states(g, h, hists, k, g.states, h.states),
@@ -418,7 +451,7 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
     strategies = product_set(g1.strategies, g2.strategies)
 
     def play(ss):
-        return lens_tensor(g1.play(ss[0]), g2.play(ss[1]))
+        return _lens_tensor(src, dst, g1.play(ss[0]), g2.play(ss[1]))
 
     def reach(ss, hists):
         return list(zip(g1.reach(ss[0], [x for x, _ in hists]),
@@ -426,31 +459,23 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
 
     def relation(hist, k, memo):
         # A factor's continuation depends on the partner's move only, so
-        # partner strategies making the same move share one relation.
-        by_move = {}  # (side, partner move) -> that factor's relation
+        # partner strategies making the same move share its rows.
+        by_move = {}  # (side, partner move) -> that factor's rows
 
         def factor(side, partner):
             own, other = (g1, g2)[side], (g1, g2)[1 - side]
             if own.trivial:
-                return _trivial_relation(own)
+                return (1,)
             # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
             move = other.play(partner).view(hist[1 - side])
-            rel = by_move.get((side, move))
-            if rel is None:
+            rows = by_move.get((side, move))
+            if rows is None:
                 kf = factor_continuation(k, side, move, own.dst)
-                rel = by_move[(side, move)] = own.relation(hist[side], kf, memo)
-            return rel
+                rows = by_move[(side, move)] = own.rows(hist[side], kf, memo)
+            return rows
 
-        lefts = {s2: factor(0, s2) for s2 in g2.strategies}
-        out, built = {}, {}
-        for s1 in g1.strategies:
-            right = None  # g2's relation, asked once some left response exists
-            for s2 in g2.strategies:
-                firsts = lefts[s2][s1]
-                if firsts and right is None:
-                    right = factor(1, s1)
-                out[(s1, s2)] = _row_product(built, firsts, right[s2]) if firsts else ()
-        return out
+        return _pair_rows(len(g1.strategies), [factor(0, s2) for s2 in g2.strategies],
+                          lambda i: factor(1, g1.strategies.elements[i]))
 
     return OpenGame(src, dst, strategies, play, relation, label="tensor",
                     states=lambda hists, k: tensor_states(g1, g2, hists, k, g1.states, g2.states),
@@ -477,18 +502,19 @@ def product_games(games) -> OpenGame:
 
     def relation(hist, k, memo):
         # Only the tagged child is played, so every other child may deviate freely.
+        # Profiles are mixed-radix, the first child most significant.
         j = hist.side
         child = games[j]
         if child.trivial:
-            tagged = _trivial_relation(child)
+            tagged = (1,)
         else:
-            tagged = child.relation(hist.value, branch_continuation(k, j, child.dst), memo)
-        per_child = [g.strategies for g in games]
-        rows = {}  # child j's strategy -> the row of every profile playing it
-        for sj, firsts in tagged.items():
-            per_child[j] = firsts
-            rows[sj] = tuple(itertools.product(*per_child))
-        return {sigma: rows[sigma[j]] for sigma in strategies}
+            tagged = child.rows(hist.value, branch_continuation(k, j, child.dst), memo)
+        n = len(child.strategies)
+        low = math.prod(len(g.strategies) for g in games[j + 1:])
+        high = math.prod(len(g.strategies) for g in games[:j])
+        blocks = ((1 << low) - 1) * _spread((1 << high) - 1, n * low)
+        rows = [_spread(row, low) * blocks for row in tagged]
+        return tuple(rows[x // low % n] for x in range(len(strategies)))
 
     return OpenGame(src, dst, strategies, play, relation, label="product",
                     states=lambda hs, k: product_states(games, hs, k, [g.states for g in games]),
@@ -582,7 +608,7 @@ def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
     if lens.cod != g.src:
         raise TypeMismatch("reindexing lens must land in the source boundary")
     return OpenGame(lens.dom, g.dst, g.strategies, lambda s: lens_compose(lens, g.play(s)),
-                    lambda h, k, memo: g.relation(lens.view(h), k, memo),
+                    lambda h, k, memo: g.rows(lens.view(h), k, memo),
                     label=g.label, trivial=g.trivial)
 
 
@@ -591,7 +617,7 @@ def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
     if lens.dom != g.dst:
         raise TypeMismatch("reindexing lens must start at the target boundary")
     return OpenGame(g.src, lens.cod, g.strategies, lambda s: lens_compose(g.play(s), lens),
-                    lambda h, k, memo: g.relation(h, apply_continuation(lens, k), memo),
+                    lambda h, k, memo: g.rows(h, apply_continuation(lens, k), memo),
                     label=g.label, trivial=g.trivial)
 
 
@@ -600,9 +626,11 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
     if f.cod != g.strategies:
         raise TypeMismatch("reindexing function must land in the strategy set")
 
+    at = [g.strategies.index(v) for v in f.values]  # each strategy's index in g
+
     def relation(h, k, memo):
-        inner = g.relation(h, k, memo)
-        return {s: tuple(d for d in f.dom if f(d) in inner[f(s)]) for s in f.dom}
+        inner = g.rows(h, k, memo)
+        return tuple(_mask(d for d, p in enumerate(at) if inner[q] >> p & 1) for q in at)
 
     return OpenGame(g.src, g.dst, f.dom, lambda s: g.play(f(s)), relation, label=g.label)
 

@@ -257,8 +257,11 @@ def lens_compose(first: Lens, second: Lens) -> Lens:
 
 
 def lens_tensor(a: Lens, b: Lens) -> Lens:
-    dom = diset_tensor(a.dom, b.dom)
-    cod = diset_tensor(a.cod, b.cod)
+    return _lens_tensor(diset_tensor(a.dom, b.dom), diset_tensor(a.cod, b.cod), a, b)
+
+
+def _lens_tensor(dom: Diset, cod: Diset, a: Lens, b: Lens) -> Lens:
+    """`lens_tensor(a, b)` onto its boundaries, built once by the caller."""
     pairs = tuple((a.view(x), b.view(y)) for x, y in dom.forward)  # in cod.forward
     view = _derived_fn(dom.forward, cod.forward, pairs)
     return Lens(dom, cod, view, UTensor(a.update, b.update))

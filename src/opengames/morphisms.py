@@ -9,6 +9,7 @@ the trivial game on the monoidal unit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .lenses import (
     lenses_equal,
     lens_to_continuation,
 )
-from .games import OpenGame, seq_compose, tensor_games, unit_game
+from .games import OpenGame, _bits, _mask, seq_compose, tensor_games, unit_game
 
 
 @dataclass
@@ -101,6 +102,12 @@ def _continuations(d, supplied):
     return ks
 
 
+def _images(at: list):
+    """Rows mapped through the index array `at`, which may send two strategies
+    to one; each distinct row is mapped once."""
+    return functools.cache(lambda row: _mask({at[d] for d in _bits(row)}))
+
+
 def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
     """Exhaustively validate both morphism axioms.
 
@@ -111,7 +118,8 @@ def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
     caller-supplied `continuations`.  At each context it builds the
     source game's best-response relation once, and the target game's
     only when some strategy has a best response; every deviation from `s`
-    must map into the target's responses to the image of `s`.  Both games
+    must map into the target's responses to the image of `s`, which is
+    tested on rows of strategy indices (`OpenGame.rows`).  Both games
     share one memo of relations for the whole check, so a part that
     recurs in either game at the same context is solved once.  Returns
     the first failing witness, the same `(s, s2, h, k)` a test of every
@@ -124,24 +132,25 @@ def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
         if not lenses_equal(left, right):
             return MorphismCheck(False, 1, (s,))
     ks = _continuations(g.dst, continuations)
-    image = dict(zip(m.sigma_map.dom, m.sigma_map.values))
+    strategies = g.strategies.elements
+    at = [g2.strategies.index(v) for v in m.sigma_map.values]  # each image's index in g2
+    image = _images(at)
     memo = {}
     for h in g2.src.forward:
         h_up = m.s_lens.view(h)
         for k in ks:
             k_down = apply_continuation(m.t_lens, k)
-            source = g.relation(h_up, k, memo)
+            source = g.rows(h_up, k, memo)
             target = None
-            for s in g.strategies:
-                deviations = source[s]
-                if not deviations:
+            for i, row in enumerate(source):
+                if not row:
                     continue
                 if target is None:
-                    target = g2.relation(h, k_down, memo)
-                kept = set(target[image[s]])
-                for s2 in deviations:
-                    if image[s2] not in kept:
-                        return MorphismCheck(False, 2, (s, s2, h, k))
+                    target = g2.rows(h, k_down, memo)
+                kept = target[at[i]]
+                if image(row) & ~kept:
+                    d = next(d for d in _bits(row) if not kept >> at[d] & 1)
+                    return MorphismCheck(False, 2, (strategies[i], strategies[d], h, k))
     return MorphismCheck(True)
 
 
@@ -317,12 +326,13 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     memo = {}
 
     def preserves(mapping):
-        # `mapping` is a bijection, so equal sets mean every pair agrees.
+        # `mapping` is a bijection, so equal rows mean every pair agrees.
+        at = [g2.strategies.index(mapping[s]) for s in g1.strategies]
+        image = _images(at)
         for (h, k) in contexts:
-            r1, r2 = g1.relation(h, k, memo), g2.relation(h, k, memo)
-            for s in g1.strategies:
-                if {mapping[d] for d in r1[s]} != set(r2[mapping[s]]):
-                    return False
+            r1, r2 = g1.rows(h, k, memo), g2.rows(h, k, memo)
+            if any(image(row) != r2[at[i]] for i, row in enumerate(r1)):
+                return False
         return True
 
     def candidates(i, mapping):  # each class's permutations in turn, the first outermost

@@ -95,7 +95,7 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
 
     `kind` is "argmax" (strategies ranked by where the continuation lands,
     so states always exist) or "hash" (an arbitrary but reproducible
-    relation); by default the coin decides.
+    relation), each as rows of strategy indices; by default the coin decides.
     """
     if src is None:
         src = random_diset(rng, max_size)
@@ -116,19 +116,19 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
 
         def relation(h, k, memo):
             # The rule ignores the current strategy, so every row is the same.
-            scores = {s: dst.backward.index(k(plays[s].view(h))) for s in strategies}
-            top = max(scores.values())
-            return dict.fromkeys(strategies, tuple(s for s in strategies if scores[s] >= top))
+            scores = [dst.backward.index(k(plays[s].view(h))) for s in strategies]
+            top = max(scores)
+            return (sum(1 << j for j, score in enumerate(scores) if score >= top),) * m
 
     else:
 
         def relation(h, k, memo):
             at = (label, format_value(h), format_fn(k))
-            return {
-                s: tuple(d for d in strategies
-                         if _digest_even(*at, format_value(s), format_value(d)))
+            return tuple(
+                sum(1 << j for j, d in enumerate(strategies)
+                    if _digest_even(*at, format_value(s), format_value(d)))
                 for s in strategies
-            }
+            )
 
     return OpenGame(src, dst, strategies, play, relation, label)
 

@@ -298,3 +298,14 @@ def test_globular_isos_carry_states_onto_states():
     ks = sample_continuations(random.Random(0), iso.target_game.dst, 8)
     assert _states_transport(iso, ks) == []
     assert checked + len(ks) > 700
+
+
+def test_copy_decision_over_three_choices_is_its_staged_build():
+    """`find_globular_iso` pairs the 2x3 copy decision with its composite, and
+    the iso carries states onto states."""
+    sets = [make_set(["L", "R"]), make_set(["a", "b", "c"])]
+    iso = find_globular_iso(copy_decision(sets), copy_decision_composite(sets))
+    assert iso is not None
+    ks = sample_continuations(random.Random(3), iso.target_game.dst, 8)
+    assert _states_transport(iso, ks) == []
+    assert any(game_states(iso.source_game, k) for k in ks)

@@ -712,6 +712,35 @@ def test_relation_matches_the_definition_on_random_trees():
     assert trivial_trees > 5, trivial_trees
 
 
+def test_rows_have_no_width_limit():
+    """A tensor and a seq with more than 64 strategies and a three-child product
+    answer by the definition, responses past index 64 included."""
+    nine, six = make_set([f"n{i}" for i in range(9)]), make_set([f"m{i}" for i in range(6)])
+    games = [
+        _tensor(_decision(MOVES, make_set([0, 1, 2])), _decision(UNIT_SET, nine)),  # 9 * 9
+        _seq(_copy_decision([MOVES]), _copy_decision([MOVES, six])),  # 2 * 36
+        _product([_decision(UNIT_SET, make_set("abcd")), _decision(MOVES, MOVES),
+                  _decision(UNIT_SET, make_set("vwxyz"))]),  # 4 * 4 * 5
+    ]
+    rng = random.Random(64)
+    for g, best in games:
+        assert len(g.strategies) > 64
+        wide = False
+        for _ in range(3):
+            k = total_fn(
+                g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
+            )
+            for h in g.src.forward:
+                expected = {
+                    s: tuple(d for d in g.strategies if best(h, k, s, d)) for s in g.strategies
+                }
+                assert g.relation(h, k) == expected, (g, h)
+                for s in rng.sample(g.strategies.elements, 5):
+                    assert g.responses(h, k, s) == expected[s], (g, h, s)
+                wide |= any(g.strategies.index(row[-1]) >= 64 for row in expected.values() if row)
+        assert wide, g
+
+
 def test_responses_are_rows_of_the_relation():
     g = tensor_games(decision(MOVES, MOVES), unit_game(Diset(MOVES, UNIT_SET)))
     rng = random.Random(3)

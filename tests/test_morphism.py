@@ -7,7 +7,7 @@ import pytest
 
 from opengames.errors import BoundaryMismatch, EnumerationBound, NotAState, TypeMismatch
 from opengames.finite import Payoff, UNIT, UNIT_SET, make_set, total_fn
-from opengames.cells import interchange_cell, seq_assoc_cell, unit_split_cell
+from opengames.cells import interchange_cell, seq_assoc_cell, tensor_assoc_cell, unit_split_cell
 from opengames.games import (
     OpenGame,
     copy_decision,
@@ -105,7 +105,7 @@ def test_axiom_one_failure_carries_a_witness():
 def test_axiom_two_failure_carries_a_witness():
     g = decision(UNIT_SET, MOVES)
     sour = OpenGame(
-        g.src, g.dst, g.strategies, g.play, lambda h, k, memo: dict.fromkeys(g.strategies, ()),
+        g.src, g.dst, g.strategies, g.play, lambda h, k, memo: (0,) * len(g.strategies),
         label="sour",
     )
     m = GameMorphism(
@@ -371,7 +371,7 @@ def test_supplied_continuations_are_validated_and_deduplicated(monkeypatch):
     with pytest.raises(TypeMismatch, match="target boundary"):
         find_globular_iso(g, g, continuations=[wrong])
     k = total_fn(g.dst.forward, Payoff(1), {"X": Q(3), "Y": Q(5), "Z": Q(5)})
-    calls = _count_calls(monkeypatch, "relation")
+    calls = _count_calls(monkeypatch, "rows")
     counts = []
     for supplied in (None, [k], [k, k, k]):
         calls.clear()
@@ -397,7 +397,7 @@ def test_morphism_checks_never_test_a_composite_best_response(monkeypatch):
     g, h, i = (random_game(rng, chain[j], chain[j + 1], max_strategies=2) for j in range(3))
     moves = make_set(["L", "R"])
     best_calls = _count_calls(monkeypatch, "best")
-    relation_calls = _count_calls(monkeypatch, "relation")
+    relation_calls = _count_calls(monkeypatch, "rows")
     assert check_morphism(interchange_cell(g1, g2, h1, h2))
     assert check_morphism(seq_assoc_cell(g, h, i))
     direct, staged = copy_decision([moves, moves]), copy_decision_composite([moves, moves])
@@ -451,6 +451,45 @@ def test_axiom_two_witness_is_the_first_failing_pair():
     assert failures >= 20
 
 
+def _scrambled(cell, rng):
+    """`cell` with each strategy sent to any target strategy with the same play."""
+    target = cell.target_game
+    scrambled = {}
+    for s in cell.source_game.strategies:
+        lens = target.play(cell.sigma_map(s))
+        same = [t for t in target.strategies if lenses_equal(target.play(t), lens)]
+        scrambled[s] = rng.choice(same)
+    return GameMorphism(
+        cell.source_game,
+        target,
+        cell.s_lens,
+        cell.t_lens,
+        total_fn(cell.source_game.strategies, target.strategies, scrambled),
+    )
+
+
+def test_axiom_two_witness_is_the_first_failing_pair_on_tensor_cells():
+    """Scrambled interchange and tensor-assoc cells; the second has non-identity legs."""
+    failures = {"interchange": 0, "tensor-assoc": 0}
+    for seed in range(24):
+        rng = random.Random(f"scrambled-tensor/{seed}")
+        disets = [random_diset(rng, max_size=rng.choice([1, 2])) for _ in range(6)]
+        g1, h1, g2, h2 = (
+            random_game(rng, disets[a], disets[b], max_strategies=2)
+            for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))
+        )
+        cells = {"interchange": interchange_cell(g1, g2, h1, h2),
+                 "tensor-assoc": tensor_assoc_cell(g1, g2, h2)}
+        for name, cell in cells.items():
+            m = _scrambled(cell, rng)
+            expected = _pairwise_axiom_two(m)
+            report = check_morphism(m)
+            assert report.axiom == (None if expected is None else 2), (seed, name)
+            assert report.witness == expected, (seed, name)
+            failures[name] += expected is not None
+    assert min(failures.values()) >= 5, failures
+
+
 # ---------- relations per context, one memo per check ----------
 
 
@@ -459,7 +498,7 @@ def test_one_memo_tells_the_games_of_a_check_apart():
     g = decision(UNIT_SET, make_set(["X", "Y", "Z"]))
     lax = OpenGame(
         g.src, g.dst, g.strategies, g.play,
-        lambda h, k, memo: dict.fromkeys(g.strategies, tuple(g.strategies)), label="lax",
+        lambda h, k, memo: ((1 << len(g.strategies)) - 1,) * len(g.strategies), label="lax",
     )
     same = total_fn(g.strategies, g.strategies, lambda s: s)
     legs = (lens_identity(g.src), lens_identity(g.dst))

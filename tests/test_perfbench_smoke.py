@@ -2,16 +2,21 @@
 
 The ops and oracles are the ones `perfbench/run.py` times, so a change
 that makes the engine disagree with an oracle fails here first.  Each
-check must also reject a corrupted copy of the answer it accepted.
+check must also reject a corrupted copy of the answer it accepted.  A
+short traced run of each workload must finish and report every
+per-layer metric `BENCHMARK.json` declares.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _load_workloads():
@@ -44,3 +49,18 @@ def test_workload_answers_pass_their_oracles(name, tmp_path):
         answer = op.run()
         assert op.check(answer), op.shape
         assert not op.check(op.corrupt(answer)), op.shape
+
+
+@pytest.mark.parametrize("name", ["nf-nash", "seq-spe", "doc-cli", "laws"])
+def test_traced_run_reports_every_layer(name):
+    """`run.py --trace 1` in a fresh interpreter: exit 0, no failed op, every layer."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
+         "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["failed"] == 0, report
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert [m for m in declared if m not in report["metrics"]] == []

@@ -220,3 +220,24 @@ def test_value_to_json_shapes():
     assert value_to_json(("a", (Fraction(1), Fraction(2)))) == ["a", "(1, 2)"]
     assert value_to_json(Tag(0, UNIT)) == "inl(*)"
     assert value_to_json(()) == []
+
+
+def test_tag_hashes_its_fields_once():
+    """A tag hashes as `(side, value)` does, so sets keep their order, and its
+    value, however deep, is hashed on the first call only."""
+    for side, value in [(0, "a"), (3, (1, ("x", UNIT))), (1, Tag(0, Tag(2, "b")))]:
+        assert hash(Tag(side, value)) == hash((side, value))
+
+    class Counting:
+        calls = 0
+
+        def __hash__(self):
+            Counting.calls += 1
+            return 7
+
+    value = Counting()
+    tag = Tag(2, value)
+    first, second = hash(tag), hash(tag)
+    assert Counting.calls == 1
+    assert first == second == hash((2, value))
+    assert Tag(2, value) == tag and len({tag, Tag(2, value)}) == 1
