@@ -284,8 +284,8 @@ def _cmd_laws(args):
 _DEMO_PATH = "data/market_entry.og"
 
 
-def bundled_document_text(name=_DEMO_PATH) -> str:
-    return (resources.files("opengames") / name).read_text(encoding="utf-8")
+def bundled_document_text() -> str:
+    return (resources.files("opengames") / _DEMO_PATH).read_text(encoding="utf-8")
 
 
 def _cmd_demo(args):

@@ -48,11 +48,13 @@ trivial part; the states joins still do.
 A seq game pulls a continuation back to its cut stage by stage
 (`OpenGame.transport`), and seq, tensor and product games hand histories
 on through their parts (`OpenGame.reach`), so the joins build no
-composite play lens and each stage lens keeps its own tables; a copy
-decision reads its cut off the continuation's table, with no play lens.
+composite play lens; a copy decision reads its cut off the
+continuation's table, with no play lens.
 
-Tensor factor and product child continuations are kept per call in
-the joins and in the rules, so no game keeps a table per continuation.
+No table derived from a continuation outlives its call: the joins keep
+theirs per call, and the rows rules theirs in the caller's memo (a seq
+game's cuts keyed `(h, k)`, a tensor factor's table keyed `(k, side,
+partner move, factor target)`), so a check builds each once.
 A tensor game builds its boundaries once and its play lenses onto them.
 """
 
@@ -103,6 +105,9 @@ from .lenses import (
 
 
 class OpenGame:
+    """An open game.  It keeps one table, its play lenses (`_play_cache`): bounded by
+    its strategies, derived from no continuation, and read at every context of a check."""
+
     def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, relation, label="",
                  states=None, transport=None, reach=None, trivial=False):
         self.src = src
@@ -435,7 +440,10 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
         if g.trivial:
             cuts = [(1,)] * len(h.strategies)
         else:
-            cuts = [g.rows(hist, h.transport(t, k), memo) for t in h.strategies]
+            kts = memo.get((h, k))
+            if kts is None:
+                kts = memo[(h, k)] = [h.transport(t, k) for t in h.strategies]
+            cuts = [g.rows(hist, kt, memo) for kt in kts]
         # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
         return _pair_rows(len(g.strategies), cuts,
                           lambda i: h.rows(g.play(g.strategies.elements[i]).view(hist), k, memo))
@@ -458,21 +466,18 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
                         g2.reach(ss[1], [y for _, y in hists])))
 
     def relation(hist, k, memo):
-        # A factor's continuation depends on the partner's move only, so
-        # partner strategies making the same move share its rows.
-        by_move = {}  # (side, partner move) -> that factor's rows
-
+        # A factor's continuation depends on the partner's move only, so it is
+        # built once per move and shared by every context and game that meets it.
         def factor(side, partner):
             own, other = (g1, g2)[side], (g1, g2)[1 - side]
             if own.trivial:
                 return (1,)
             # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
-            move = other.play(partner).view(hist[1 - side])
-            rows = by_move.get((side, move))
-            if rows is None:
-                kf = factor_continuation(k, side, move, own.dst)
-                rows = by_move[(side, move)] = own.rows(hist[side], kf, memo)
-            return rows
+            key = (k, side, other.play(partner).view(hist[1 - side]), own.dst)
+            kf = memo.get(key)
+            if kf is None:
+                kf = memo[key] = factor_continuation(k, *key[1:])
+            return own.rows(hist[side], kf, memo)
 
         return _pair_rows(len(g1.strategies), [factor(0, s2) for s2 in g2.strategies],
                           lambda i: factor(1, g1.strategies.elements[i]))

@@ -230,7 +230,6 @@ class Lens:
         self.cod = cod
         self.view = view
         self.update = update
-        self._cont_cache = {}
 
     def update_at(self, x, r):
         return self.update.apply(x, r)
@@ -308,18 +307,13 @@ def apply_continuation(l: Lens, k: TotalFn) -> TotalFn:
     """Transport a continuation on the codomain back along a lens.
 
     Along an identity lens that is `k` itself, when `k` already lands in
-    the backward carrier; otherwise the table is rebuilt and checked.
+    the backward carrier; otherwise the table is built, checked and not kept.
     """
     if l.is_identity and k.cod == l.cod.backward and k.dom == l.cod.forward:
         return k
-    cached = l._cont_cache.get(k)
-    if cached is not None:
-        return cached
     if k.dom != l.cod.forward:
         raise TypeMismatch("continuation does not match lens codomain")
-    out = total_fn(l.dom.forward, l.dom.backward, lambda x: l.update_at(x, k(l.view(x))))
-    l._cont_cache[k] = out
-    return out
+    return total_fn(l.dom.forward, l.dom.backward, lambda x: l.update_at(x, k(l.view(x))))
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,29 @@ def _continuations(d, supplied):
     return ks
 
 
-def _images(at: list):
-    """Rows mapped through the index array `at`, which may send two strategies
-    to one; each distinct row is mapped once."""
-    return functools.cache(lambda row: _mask({at[d] for d in _bits(row)}))
+def _first_unkept(g, g2, s_lens, t_lens, at, ks, memo):
+    """Axiom 2 on rows, through the index array `at`: the first `(i, d, h, k)`
+    where `g`'s best response `d` to its `i`-th strategy does not map into
+    `g2`'s responses to the image of `i`, or None.  Each `k` is pulled back
+    along `t_lens` once, where it is first reached, and kept in `memo`."""
+    image = functools.cache(lambda row: _mask({at[d] for d in _bits(row)}))  # once per row
+    for h in g2.src.forward:
+        h_up = s_lens.view(h)
+        for k in ks:
+            k_down = memo.get((t_lens, k))
+            if k_down is None:
+                k_down = memo[(t_lens, k)] = apply_continuation(t_lens, k)
+            source = g.rows(h_up, k, memo)
+            target = None
+            for i, row in enumerate(source):
+                if not row:
+                    continue
+                if target is None:
+                    target = g2.rows(h, k_down, memo)
+                kept = target[at[i]]
+                if image(row) & ~kept:
+                    return i, next(d for d in _bits(row) if not kept >> at[d] & 1), h, k
+    return None
 
 
 def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
@@ -120,10 +139,10 @@ def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
     only when some strategy has a best response; every deviation from `s`
     must map into the target's responses to the image of `s`, which is
     tested on rows of strategy indices (`OpenGame.rows`).  Both games
-    share one memo of relations for the whole check, so a part that
-    recurs in either game at the same context is solved once.  Returns
-    the first failing witness, the same `(s, s2, h, k)` a test of every
-    pair in canonical order finds first.
+    share one memo of relations and pulled-back continuations for the
+    whole check, so each is built once.  Returns the first failing
+    witness, the same `(s, s2, h, k)` a test of every pair in canonical
+    order finds first.
     """
     g, g2 = m.source_game, m.target_game
     for s in g.strategies:
@@ -132,26 +151,12 @@ def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
         if not lenses_equal(left, right):
             return MorphismCheck(False, 1, (s,))
     ks = _continuations(g.dst, continuations)
-    strategies = g.strategies.elements
     at = [g2.strategies.index(v) for v in m.sigma_map.values]  # each image's index in g2
-    image = _images(at)
-    memo = {}
-    for h in g2.src.forward:
-        h_up = m.s_lens.view(h)
-        for k in ks:
-            k_down = apply_continuation(m.t_lens, k)
-            source = g.rows(h_up, k, memo)
-            target = None
-            for i, row in enumerate(source):
-                if not row:
-                    continue
-                if target is None:
-                    target = g2.rows(h, k_down, memo)
-                kept = target[at[i]]
-                if image(row) & ~kept:
-                    d = next(d for d in _bits(row) if not kept >> at[d] & 1)
-                    return MorphismCheck(False, 2, (strategies[i], strategies[d], h, k))
-    return MorphismCheck(True)
+    failed = _first_unkept(g, g2, m.s_lens, m.t_lens, at, ks, {})
+    if failed is None:
+        return MorphismCheck(True)
+    i, d, h, k = failed
+    return MorphismCheck(False, 2, (g.strategies.elements[i], g.strategies.elements[d], h, k))
 
 
 def vcompose(first: GameMorphism, then: GameMorphism) -> GameMorphism:
@@ -278,9 +283,9 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     match groups, then preserve best responses over all probe contexts
     (plus any supplied continuations, which must live on the target
     boundary) in both directions: at each context the image of g1's set
-    of best responses to `s` must be g2's set for the image of `s`.
-    Relations do not depend on the candidate bijection, so one memo of
-    them is shared by both games across every candidate of the search.
+    of best responses to `s` must be g2's set for the image of `s`: axiom
+    2 through the bijection and through its inverse.  Relations do not
+    depend on the candidate, so both games share one memo for the search.
     Candidates are built one at a time, after their count is checked against `DEFAULT_BOUND`.
     Returns the isomorphism as a globular GameMorphism, or None.
     """
@@ -322,18 +327,14 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
         raise EnumerationBound(f"{count} candidate bijections exceed bound {DEFAULT_BOUND}")
 
     ks = _continuations(g1.dst, continuations)
-    contexts = [(h, k) for h in g1.src.forward for k in ks]
+    legs = lens_identity(g1.src), lens_identity(g1.dst)
     memo = {}
 
     def preserves(mapping):
-        # `mapping` is a bijection, so equal rows mean every pair agrees.
         at = [g2.strategies.index(mapping[s]) for s in g1.strategies]
-        image = _images(at)
-        for (h, k) in contexts:
-            r1, r2 = g1.rows(h, k, memo), g2.rows(h, k, memo)
-            if any(image(row) != r2[at[i]] for i, row in enumerate(r1)):
-                return False
-        return True
+        back = sorted(range(len(at)), key=at.__getitem__)  # the inverse bijection
+        return (_first_unkept(g1, g2, *legs, at, ks, memo) is None
+                and _first_unkept(g2, g1, *legs, back, ks, memo) is None)
 
     def candidates(i, mapping):  # each class's permutations in turn, the first outermost
         if i == len(pairing):
@@ -346,5 +347,5 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     for mapping in candidates(0, {}):
         if preserves(mapping):
             f = total_fn(g1.strategies, g2.strategies, lambda s: mapping[s])
-            return GameMorphism(g1, g2, lens_identity(g1.src), lens_identity(g1.dst), f)
+            return GameMorphism(g1, g2, *legs, f)
     return None

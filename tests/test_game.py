@@ -57,6 +57,7 @@ from opengames.lenses import (
     lens_identity,
     right_context,
     runit_inv_lens,
+    swap_lens,
 )
 from opengames.sampling import random_diset, random_finite_set, random_game, random_lens
 
@@ -955,68 +956,53 @@ def test_states_check_a_continuation_off_the_target_carrier():
         game_states(p, total_fn(p.dst.forward, Payoff(2), two))
 
 
-def test_tensor_states_keep_no_continuation_tables():
-    """Fresh continuations through one tensor game leave nothing behind."""
-    import gc
-    import inspect
-    import tracemalloc
+def _long_lived_games():
+    """Games asked at many fresh continuations by the two tests below.
 
+    Besides a tensor: seq games over a tensor and over a product, whose
+    second stages have no transport of their own, so cuts are pulled back
+    along their play lenses, and a game reindexed along a target lens.  A
+    seq game's first stage is not trivial, so its relation builds cuts too.
+    """
+    moves = make_set(["a", "b", "c", "d"])
+    one = decision(UNIT_SET, moves)
+    t = tensor_games(one, decision(UNIT_SET, moves))
+    p = product_games([one, decision(UNIT_SET, moves)])
+    rng = random.Random(7)
+
+    def before(d):  # a first stage with one strategy that is still not trivial
+        return random_game(rng, Diset(make_set(["x"]), UNIT_SET), d, max_strategies=1,
+                           kind="argmax")
+
+    return {
+        "tensor": t,
+        "seq over tensor": seq_compose(before(t.src), t),
+        "seq over product": seq_compose(before(p.src), p),
+        "reindexed target": reindex_target(t, swap_lens(one.dst, one.dst)),
+    }
+
+
+def _fresh_continuation(rng, d):
+    """A continuation on `d` whose payoffs are drawn afresh."""
     from opengames.sampling import random_fraction
 
-    moves = make_set(["a", "b", "c", "d"])
-    g = tensor_games(decision(UNIT_SET, moves), decision(UNIT_SET, moves))
-    rng = random.Random(400)
+    def value(c):
+        if isinstance(c, Payoff):
+            return tuple(random_fraction(rng) for _ in range(c.dim))
+        if isinstance(c, PairCarrier):
+            return value(c.fst), value(c.snd)
+        return rng.choice(c.elements)
 
-    def fresh():
-        return total_fn(
-            g.dst.forward,
-            g.dst.backward,
-            lambda _: ((random_fraction(rng),), (random_fraction(rng),)),
-        )
-
-    game_states(g, fresh())  # fills the play caches, bounded by the strategies
-    tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(400):
-            game_states(g, fresh())
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained < 0.1 * 2**20, retained
-    # No table of factor continuations or relations lives on the game.
-    assert not any(isinstance(v, dict) and v for v in vars(g).values() if v is not g._play_cache)
-    for rule in (g._relation, g._states):
-        assert not any(isinstance(v, dict) for v in inspect.getclosurevars(rule).nonlocals.values())
+    return total_fn(d.forward, d.backward, lambda _: value(d.backward))
 
 
-def test_relations_keep_no_tables_across_calls():
-    """The relation, responses and best paths leave nothing behind once a call returns."""
+def _retained(ask, fresh) -> int:
+    """Bytes still held after asking at 400 fresh continuations; the first ask
+    fills the play caches, bounded by the strategies."""
     import gc
     import tracemalloc
 
-    from opengames.sampling import random_fraction
-
-    moves = make_set(["a", "b", "c", "d"])
-    g = tensor_games(decision(UNIT_SET, moves), decision(UNIT_SET, moves))
-    rng = random.Random(400)
-
-    def fresh():
-        return total_fn(
-            g.dst.forward,
-            g.dst.backward,
-            lambda _: ((random_fraction(rng),), (random_fraction(rng),)),
-        )
-
-    def ask(k):
-        for h in g.src.forward:
-            g.relation(h, k)
-            g.responses(h, k, g.strategies.elements[0])
-            g.best(h, k, g.strategies.elements[0], g.strategies.elements[-1])
-
-    ask(fresh())  # fills the play caches, bounded by the strategies
+    ask(fresh())
     tracemalloc.start()
     try:
         gc.collect()
@@ -1024,10 +1010,52 @@ def test_relations_keep_no_tables_across_calls():
         for _ in range(400):
             ask(fresh())
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 0.1 * 2**20, retained
+
+
+def test_tensor_states_keep_no_continuation_tables():
+    """Fresh continuations through long-lived games leave nothing behind."""
+    import inspect
+
+    rng = random.Random(400)
+    for name, g in _long_lived_games().items():
+        retained = _retained(functools.partial(game_states, g),
+                             lambda: _fresh_continuation(rng, g.dst))
+        assert retained < 0.1 * 2**20, (name, retained)
+        # No table of cuts, factor continuations or relations lives on the game
+        # or its play lenses.
+        assert not any(isinstance(v, dict) and v for v in vars(g).values() if v is not g._play_cache)
+        for rule in (g._relation, g._states):
+            if rule is not None:
+                assert not any(isinstance(v, dict)
+                               for v in inspect.getclosurevars(rule).nonlocals.values()), name
+        for lens in g._play_cache.values():
+            assert not any(isinstance(v, dict) for v in vars(lens).values()), name
+
+
+def test_relations_keep_no_tables_across_calls():
+    """The relation, responses and best paths, and morphism checks, leave
+    nothing behind once a call returns."""
+    from opengames.cells import tensor_runit_cell
+    from opengames.morphisms import check_morphism
+
+    rng = random.Random(400)
+
+    def ask(g, k):
+        for h in g.src.forward:
+            g.relation(h, k)
+            g.best(h, k, g.strategies.elements[0], g.strategies.elements[-1])  # via `responses`
+
+    for name, g in _long_lived_games().items():
+        retained = _retained(functools.partial(ask, g), lambda: _fresh_continuation(rng, g.dst))
+        assert retained < 0.1 * 2**20, (name, retained)
+    cell = tensor_runit_cell(decision(UNIT_SET, MOVES))
+    assert not cell.t_lens.is_identity
+    retained = _retained(lambda k: check_morphism(cell, continuations=[k]),
+                         lambda: _fresh_continuation(rng, cell.source_game.dst))
+    assert retained < 0.1 * 2**20, ("check", retained)
 
 
 def test_tensor_relation_builds_one_factor_continuation_per_partner_move(monkeypatch):

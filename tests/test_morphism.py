@@ -534,3 +534,44 @@ def test_unit_split_checks_build_no_factor_continuation(monkeypatch):
         assert check_morphism(cell)
     assert built == []
     assert all(c.source_game.trivial and c.target_game.trivial for c in cells)
+
+
+def test_a_check_builds_each_factor_table_and_pullback_once(monkeypatch):
+    """Within one `check_morphism` of `og laws`, each tensor factor table
+    `(k, side, partner move, dst)` is built once, and each continuation is
+    pulled back along the target leg once, however many histories ask."""
+    import contextlib
+    import io
+
+    import opengames.cli as og_cli
+    import opengames.games as og_games
+    import opengames.morphisms as og_morphisms
+    from opengames.lenses import factor_continuation
+
+    factors, pullbacks, per_check = [], [], []
+
+    def factor(*args):
+        factors.append(args)
+        return factor_continuation(*args)
+
+    def pullback(lens, k):
+        pullbacks.append((lens, k))
+        return apply_continuation(lens, k)
+
+    def check(m, continuations=None):
+        factors.clear()
+        pullbacks.clear()
+        out = check_morphism(m, continuations)
+        per_check.append((list(factors), list(pullbacks)))
+        return out
+
+    monkeypatch.setattr(og_games, "factor_continuation", factor)
+    monkeypatch.setattr(og_morphisms, "apply_continuation", pullback)
+    monkeypatch.setattr(og_cli, "check_morphism", check)
+    for seed in range(8):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert og_cli.main(["laws", "--trials", "5", "--seed", str(seed)]) == 0
+    assert sum(len(built) for built, _ in per_check) > 1000
+    for built, pulled in per_check:
+        assert len(built) == len(set(built))
+        assert len(pulled) == len(set(pulled))
