@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import TypeMismatch
 from .finite import TotalFn, format_value, value_to_json
-from .games import (OpenGame, game_states, product_games, product_states, seq_compose,
+from .games import (OpenGame, derived, game_states, product_games, product_states, seq_compose,
                     seq_states, tensor_games, tensor_states)
 from .lenses import branch_continuation, factor_continuation
 
@@ -118,12 +118,13 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     """Profiles that survive the cut-by-cut test, each with its certificate.
 
     Returned in the composite game's strategy enumeration order as
-    (profile, certificate) pairs.
+    (profile, certificate) pairs; the search and the certificates share one store.
     """
     if continuation.dom != eval_expr(expr).dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
-    return [(p, _certificate(expr, p, continuation))
-            for p in _separable(expr, continuation, {})]
+    memo = {}
+    return [(p, _certificate(expr, p, continuation, memo))
+            for p in _separable(expr, continuation, memo)]
 
 
 def _separable(expr, k, memo):
@@ -154,25 +155,25 @@ def _part(expr, memo):
     return rule
 
 
-def _certificate(expr, profile, k):
+def _certificate(expr, profile, k, memo):
     """The witness of a separable profile: the contexts the joins checked it at."""
     if isinstance(expr, Atom):
         return CertAtom(profile, k)
     if isinstance(expr, Seq):
-        cut = eval_expr(expr.second).transport(profile[1], k)
-        return CertSeq(_certificate(expr.first, profile[0], cut),
-                       _certificate(expr.second, profile[1], k), cut)
+        cut = derived(memo, eval_expr(expr.second).transport, profile[1], k)
+        return CertSeq(_certificate(expr.first, profile[0], cut, memo),
+                       _certificate(expr.second, profile[1], k, memo), cut)
     if isinstance(expr, Tensor):
         sides = ([], [])
         joint = len(eval_expr(expr).src.forward)  # with no joint history nothing is checked
         for side, own, partner in ((0, expr.left, expr.right), (1, expr.right, expr.left)):
             hists = eval_expr(partner).src.forward if joint else ()
             for h, move in zip(hists, eval_expr(partner).reach(profile[1 - side], hists)):
-                kf = factor_continuation(k, side, move, eval_expr(own).dst)
-                sides[side].append((h, _certificate(own, profile[side], kf)))
+                kf = derived(memo, factor_continuation, k, side, move, eval_expr(own).dst)
+                sides[side].append((h, _certificate(own, profile[side], kf, memo)))
         return CertTensor(tuple(sides[0]), tuple(sides[1]))
     return CertProduct(tuple(
-        _certificate(c, p, branch_continuation(k, j, eval_expr(c).dst))
+        _certificate(c, p, derived(memo, branch_continuation, k, j, eval_expr(c).dst), memo)
         for j, (c, p) in enumerate(zip(expr.children, profile))
     ))
 

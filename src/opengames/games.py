@@ -14,10 +14,7 @@ its first game once per cut a second-stage strategy leaves and its
 second game once per history handed on; tensor asks each factor once per
 partner move; a product asks only the tagged child.  Pair `(i, j)` of a
 seq or tensor game sits at index `i * width + j`, so its row is index
-arithmetic on its parts' rows, as is a product's.  Rows are kept in a
-memo that the caller creates for one top-level check and shares between
-the games it asks, keyed by game and context, so a part met again in
-either game of a morphism is solved once and nothing outlives the check.
+arithmetic on its parts' rows, as is a product's.
 
 States of seq, tensor and product games come from one join per
 combinator (`seq_states`, `tensor_states`, `product_states`).  A join
@@ -41,7 +38,7 @@ ordered pass over the first factor's strategies.
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
 product of trivial games and their reindexed boundaries.  Their rows
-are read off without a continuation or a memo entry, and the seq, tensor
+are read off without a continuation or a store entry, and the seq, tensor
 and product rules build no cut, factor or branch continuation for a
 trivial part; the states joins still do.
 
@@ -51,11 +48,13 @@ on through their parts (`OpenGame.reach`), so the joins build no
 composite play lens; a copy decision reads its cut off the
 continuation's table, with no play lens.
 
-No table derived from a continuation outlives its call: the joins keep
-theirs per call, and the rows rules theirs in the caller's memo (a seq
-game's cuts keyed `(h, k)`, a tensor factor's table keyed `(k, side,
-partner move, factor target)`), so a check builds each once.
-A tensor game builds its boundaries once and its play lenses onto them.
+A top-level call (`check_morphism`, `find_globular_iso`, `relation`,
+`responses`, `is_state`, `separable_states_over`, the `states` fallback)
+makes one store, a dict passed as `memo`, and drops it on return: `rows`
+keeps rows there by game and context, and `derived` each cut, factor,
+branch or pulled-back table by builder and arguments, so a call builds
+each once.  The states joins keep their own tables per call.  A tensor
+game builds its boundaries once and its play lenses onto them.
 """
 
 from __future__ import annotations
@@ -156,9 +155,9 @@ class OpenGame:
         strategy an int whose bit `j` is set when the `j`-th responds best.
 
         A strategically trivial game relates its one strategy to itself
-        without reading the continuation or its rule.  Tables are kept in
-        `memo`, keyed by `(game, history, continuation)`, which the caller
-        creates for one check and shares between the games it asks.
+        without reading the continuation or its rule.  Rows are kept in the
+        store `memo` under `(game, history, continuation)`, beside `derived`
+        tables; a top-level call makes it for the games it asks, or `rows` does.
         """
         if self.trivial:
             return (1,)
@@ -206,6 +205,19 @@ class OpenGame:
     def __repr__(self):
         name = self.label or "OpenGame"
         return f"{name}({self.src!r} -|> {self.dst!r}, |S|={len(self.strategies)})"
+
+
+def derived(memo: dict, build, *args):
+    """`build(*args)`, built once per store: `memo` keeps it under `(build, *args)`."""
+    key = (build, *args)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = build(*args)
+    return out
+
+
+def _cuts(h: OpenGame, k: TotalFn) -> list:  # the cut each strategy of `h` leaves of `k`
+    return [h.transport(t, k) for t in h.strategies]
 
 
 def _bits(mask: int):
@@ -437,13 +449,8 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
     def relation(hist, k, memo):
         # g is judged against the cut each second-stage strategy leaves, h at
         # the history each first-stage strategy hands on; a trivial g needs no cut.
-        if g.trivial:
-            cuts = [(1,)] * len(h.strategies)
-        else:
-            kts = memo.get((h, k))
-            if kts is None:
-                kts = memo[(h, k)] = [h.transport(t, k) for t in h.strategies]
-            cuts = [g.rows(hist, kt, memo) for kt in kts]
+        cuts = ([(1,)] * len(h.strategies) if g.trivial
+                else [g.rows(hist, kt, memo) for kt in derived(memo, _cuts, h, k)])
         # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
         return _pair_rows(len(g.strategies), cuts,
                           lambda i: h.rows(g.play(g.strategies.elements[i]).view(hist), k, memo))
@@ -473,10 +480,8 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
             if own.trivial:
                 return (1,)
             # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
-            key = (k, side, other.play(partner).view(hist[1 - side]), own.dst)
-            kf = memo.get(key)
-            if kf is None:
-                kf = memo[key] = factor_continuation(k, *key[1:])
+            move = other.play(partner).view(hist[1 - side])
+            kf = derived(memo, factor_continuation, k, side, move, own.dst)
             return own.rows(hist[side], kf, memo)
 
         return _pair_rows(len(g1.strategies), [factor(0, s2) for s2 in g2.strategies],
@@ -510,10 +515,8 @@ def product_games(games) -> OpenGame:
         # Profiles are mixed-radix, the first child most significant.
         j = hist.side
         child = games[j]
-        if child.trivial:
-            tagged = (1,)
-        else:
-            tagged = child.rows(hist.value, branch_continuation(k, j, child.dst), memo)
+        kj = None if child.trivial else derived(memo, branch_continuation, k, j, child.dst)
+        tagged = child.rows(hist.value, kj, memo)  # a trivial child reads no continuation
         n = len(child.strategies)
         low = math.prod(len(g.strategies) for g in games[j + 1:])
         high = math.prod(len(g.strategies) for g in games[:j])
@@ -622,7 +625,7 @@ def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
     if lens.dom != g.dst:
         raise TypeMismatch("reindexing lens must start at the target boundary")
     return OpenGame(g.src, lens.cod, g.strategies, lambda s: lens_compose(g.play(s), lens),
-                    lambda h, k, memo: g.rows(h, apply_continuation(lens, k), memo),
+                    lambda h, k, memo: g.rows(h, derived(memo, apply_continuation, lens, k), memo),
                     label=g.label, trivial=g.trivial)
 
 

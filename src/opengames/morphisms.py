@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, EnumerationBound, NotAState, TypeMismatch
-from .finite import DEFAULT_BOUND, TotalFn, UNIT_SET, compose_fn, total_fn
+from .finite import DEFAULT_BOUND, TotalFn, UNIT_SET, compose_fn, is_enumerable, total_fn
 from .lenses import (
     Lens,
     UNIT_DISET,
@@ -29,7 +29,7 @@ from .lenses import (
     lenses_equal,
     lens_to_continuation,
 )
-from .games import OpenGame, _bits, _mask, seq_compose, tensor_games, unit_game
+from .games import OpenGame, _bits, _mask, derived, seq_compose, tensor_games, unit_game
 
 
 @dataclass
@@ -81,6 +81,7 @@ class MorphismCheck:
     ok: bool
     axiom: int | None = None
     witness: tuple | None = None
+    complete: bool = True
 
     def __bool__(self):
         return self.ok
@@ -106,14 +107,12 @@ def _first_unkept(g, g2, s_lens, t_lens, at, ks, memo):
     """Axiom 2 on rows, through the index array `at`: the first `(i, d, h, k)`
     where `g`'s best response `d` to its `i`-th strategy does not map into
     `g2`'s responses to the image of `i`, or None.  Each `k` is pulled back
-    along `t_lens` once, where it is first reached, and kept in `memo`."""
+    along `t_lens` where it is first reached, once per store (`derived`)."""
     image = functools.cache(lambda row: _mask({at[d] for d in _bits(row)}))  # once per row
     for h in g2.src.forward:
         h_up = s_lens.view(h)
         for k in ks:
-            k_down = memo.get((t_lens, k))
-            if k_down is None:
-                k_down = memo[(t_lens, k)] = apply_continuation(t_lens, k)
+            k_down = derived(memo, apply_continuation, t_lens, k)
             source = g.rows(h_up, k, memo)
             target = None
             for i, row in enumerate(source):
@@ -128,35 +127,35 @@ def _first_unkept(g, g2, s_lens, t_lens, at, ks, memo):
 
 
 def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
-    """Exhaustively validate both morphism axioms.
+    """Check axiom 1 for every strategy, axiom 2 at the continuations listed.
 
-    Axiom 1 compares play squares lens-extensionally for every strategy.
-    Axiom 2 ranges over histories of the target source boundary and over
-    continuations of the source game's target: all of them when the
-    backward carrier is enumerable, otherwise the probe set plus any
-    caller-supplied `continuations`.  At each context it builds the
-    source game's best-response relation once, and the target game's
-    only when some strategy has a best response; every deviation from `s`
-    must map into the target's responses to the image of `s`, which is
-    tested on rows of strategy indices (`OpenGame.rows`).  Both games
-    share one memo of relations and pulled-back continuations for the
-    whole check, so each is built once.  Returns the first failing
-    witness, the same `(s, s2, h, k)` a test of every pair in canonical
-    order finds first.
+    Axiom 1 compares play squares lens-extensionally.  Axiom 2 ranges over
+    histories of the target source boundary and over continuations of the
+    source game's target: all of them when its backward carrier is
+    enumerable, else only those built from `probe_values`, and then the
+    result is not `complete` (a map that keeps them may fail at another
+    continuation); supplied `continuations` come after them.  Every
+    deviation from `s` must map into the target's responses to the image
+    of `s`; the target's rows are built only where a source row is not
+    empty.  Both games share one store, so each relation and pullback is
+    built once per check.  Returns the first failing `(s, s2, h, k)`, the
+    one a test of every pair in canonical order finds first.
     """
     g, g2 = m.source_game, m.target_game
+    complete = is_enumerable(g.dst.backward)
     for s in g.strategies:
         left = lens_compose(m.s_lens, g.play(s))
         right = lens_compose(g2.play(m.sigma_map(s)), m.t_lens)
         if not lenses_equal(left, right):
-            return MorphismCheck(False, 1, (s,))
+            return MorphismCheck(False, 1, (s,), complete)
     ks = _continuations(g.dst, continuations)
     at = [g2.strategies.index(v) for v in m.sigma_map.values]  # each image's index in g2
     failed = _first_unkept(g, g2, m.s_lens, m.t_lens, at, ks, {})
     if failed is None:
-        return MorphismCheck(True)
+        return MorphismCheck(True, complete=complete)
     i, d, h, k = failed
-    return MorphismCheck(False, 2, (g.strategies.elements[i], g.strategies.elements[d], h, k))
+    witness = (g.strategies.elements[i], g.strategies.elements[d], h, k)
+    return MorphismCheck(False, 2, witness, complete)
 
 
 def vcompose(first: GameMorphism, then: GameMorphism) -> GameMorphism:
@@ -219,7 +218,8 @@ class StateCert:
 
 
 def is_state(game: OpenGame, sigma, k: TotalFn) -> bool:
-    return all(game.best(h, k, sigma, sigma) for h in game.src.forward)
+    i, memo = game.strategies.index(sigma), {}
+    return all(game.rows(h, k, memo)[i] >> i & 1 for h in game.src.forward)
 
 
 def state_to_morphism(game: OpenGame, cert: StateCert) -> GameMorphism:
@@ -285,7 +285,7 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     boundary) in both directions: at each context the image of g1's set
     of best responses to `s` must be g2's set for the image of `s`: axiom
     2 through the bijection and through its inverse.  Relations do not
-    depend on the candidate, so both games share one memo for the search.
+    depend on the candidate, so both games share one store for the search.
     Candidates are built one at a time, after their count is checked against `DEFAULT_BOUND`.
     Returns the isomorphism as a globular GameMorphism, or None.
     """

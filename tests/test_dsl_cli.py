@@ -801,6 +801,14 @@ def test_parse_reports_match_golden_files(capsys, monkeypatch):
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+def test_laws_report_matches_golden_file(capsys):
+    """`og laws --trials 5 --seed 42`, the run CI diffs on every Python version,
+    pinned byte for byte."""
+    code, out, _ = run_cli(capsys, ["laws", "--trials", "5", "--seed", "42"])
+    assert code == 0
+    assert out == (GOLDEN / "laws_seed42.json").read_text(encoding="utf-8")
+
+
 def test_parse_errors_match_golden_file(capsys, monkeypatch):
     """Stderr and exit code of `og parse` on each broken input, in the layout of
     CI's shell loop: the file name, what `og` wrote, then `exit N`."""

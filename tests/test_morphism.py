@@ -575,3 +575,58 @@ def test_a_check_builds_each_factor_table_and_pullback_once(monkeypatch):
     for built, pulled in per_check:
         assert len(built) == len(set(built))
         assert len(pulled) == len(set(pulled))
+
+
+def test_a_check_builds_each_pullback_and_branch_table_once(monkeypatch):
+    """Within one check, a `reindex_target` game pulls each continuation back
+    along its lens once and a product builds each branch table `(k, j, dst)`
+    once, however many histories ask."""
+    import opengames.games as og_games
+    from opengames.lenses import branch_continuation, swap_lens
+
+    built = {}
+
+    def record(fn):
+        calls = built[fn.__name__] = []
+
+        def recording(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(og_games, fn.__name__, recording)
+
+    record(apply_continuation)
+    record(branch_continuation)
+    xs = make_set([0, 1, 2])
+    d = decision(xs, MOVES)
+    t = tensor_games(d, decision(xs, MOVES))
+    for game, name, distinct in (
+        (og_games.reindex_target(t, swap_lens(d.dst, d.dst)), "apply_continuation", 6561),
+        (product_games([d, decision(xs, MOVES)]), "branch_continuation", 162),
+    ):
+        built[name].clear()
+        assert check_morphism(identity_morphism(game))
+        assert len(built[name]) == len(set(built[name])) == distinct
+
+
+def test_a_check_says_whether_probes_stood_in_for_the_continuations():
+    """On a payoff target the check runs on probe continuations only, which
+    rank outcomes alike in every coordinate: a chain of two copy decisions
+    against itself with its two payoffs swapped is not checked completely,
+    and one continuation where the two players disagree breaks axiom 2."""
+    from opengames.finite import identity_fn
+    from opengames.lenses import _rearrange_lens, leaf
+
+    ab = make_set(["a", "b"])
+    g = seq_compose(copy_decision([ab]), copy_decision([ab, ab]))
+    swap = _rearrange_lens(g.dst, g.dst, leaf(), leaf((), take=(1, 0)))
+    m = GameMorphism(g, g, lens_identity(g.src), swap, identity_fn(g.strategies))
+    assert check_morphism(m).complete is False
+    # The first player wants the second to play "a", the second wants "b".
+    k = total_fn(g.dst.forward, g.dst.backward,
+                 lambda y: (Fraction(y[1] == "a"), Fraction(y[1] == "b")))
+    got = check_morphism(m, [k])
+    assert (got.ok, got.axiom, got.complete) == (False, 2, False)
+    s, deviation, h, witness_k = got.witness
+    assert s in g.strategies and deviation in g.strategies and witness_k == k
+    assert check_morphism(identity_morphism(unit_game(UNIT_DISET))).complete is True
