@@ -122,17 +122,17 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     """
     if continuation.dom != eval_expr(expr).dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
-    memo = {}
-    return [(p, _certificate(expr, p, continuation, memo))
-            for p in _separable(expr, continuation, memo)]
+    memo, elements = {}, eval_expr(expr).strategies.elements
+    return [(elements[i], _certificate(expr, elements[i], continuation, memo))
+            for i in _separable(expr, continuation, memo)]
 
 
 def _separable(expr, k, memo):
-    """The separable profiles of `expr` against `k`, in strategy order: a
+    """The indices of the separable profiles of `expr` against `k`, ascending: a
     composite's states join over its whole source, each part answering by `_part`."""
     hists = eval_expr(expr).src.forward  # raises TypeMismatch on a non-expression
     if isinstance(expr, Atom):
-        out = game_states(expr.game, k)
+        out = expr.game.states(hists, k)
     elif isinstance(expr, Seq):
         out = seq_states(eval_expr(expr.first), eval_expr(expr.second), hists, k,
                          _part(expr.first, memo), _part(expr.second, memo))

@@ -17,15 +17,16 @@ seq or tensor game sits at index `i * width + j`, so its row is index
 arithmetic on its parts' rows, as is a product's.
 
 States of seq, tensor and product games come from one join per
-combinator (`seq_states`, `tensor_states`, `product_states`).  A join
-takes a states rule `(histories, continuation) -> states` per part and
-answers in strategy order.  A composite game passes its parts' own
-`states`; separable states (`expr`) pass each part's separable states,
-so Nash and subgame-perfect profiles share the joins.  A decision's
-states are built as a product, with its argmax allowed at each asked
-history and any choice elsewhere, not by scanning its function space;
-only games without a `states` rule of their own, such as the reindexed
-ones, filter every strategy through their relation.
+combinator (`seq_states`, `tensor_states`, `product_states`).  Every
+states rule answers as rows index: with the ascending indices of its
+states, a join's pairs and profiles where the rows put them.  Only
+`game_states` and `expr.separable_states_over` decode them.  A composite
+game passes its parts' own `states`; separable states (`expr`) pass each
+part's separable states, so Nash and subgame-perfect profiles share the
+joins.  A decision's states are a product of choice indices, its argmax
+at each asked history and any choice elsewhere, not a scan of its
+function space; only games without a `states` rule of their own, such
+as the reindexed ones, filter every strategy through their relation.
 
 The Nash path reads tables by index, not by lookup.  A decision takes
 its argmax in one pass over the rows of its continuation, a copy
@@ -189,17 +190,16 @@ class OpenGame:
         return _members(self.strategies.elements, rows[i])
 
     def states(self, histories, k) -> list:
-        """Strategies that best-respond to themselves at all `histories`, in order.
+        """The indices of the strategies that best-respond to themselves at all
+        `histories`, ascending, as in `rows`.
 
         A constructor's own `states` must agree with this definition.
         """
         histories = tuple(histories)
         if self._states is None or not histories:
             memo = {}
-            return [
-                s for i, s in enumerate(self.strategies)
-                if all(self.rows(h, k, memo)[i] >> i & 1 for h in histories)
-            ]
+            return [i for i in range(len(self.strategies))
+                    if all(self.rows(h, k, memo)[i] >> i & 1 for h in histories)]
         return self._states(histories, k)
 
     def __repr__(self):
@@ -280,9 +280,9 @@ def best_response(game: OpenGame, c: Context, sigma, deviation) -> bool:
 def game_states(game: OpenGame, k: TotalFn):
     """Strategies that best-respond to themselves at every history, in canonical order.
 
-    Assembled per combinator; equal to keeping each `s` with `best(h, k, s, s)` at every `h`.
+    `states` decoded; equal to keeping each `s` with `best(h, k, s, s)` at every `h`.
     """
-    return game.states(game.src.forward, k)
+    return list(map(game.strategies.elements.__getitem__, game.states(game.src.forward, k)))
 
 
 def _argmax(scores) -> list:
@@ -309,8 +309,7 @@ def _check_payoffs(k: TotalFn, carrier) -> None:
 
 def _product_states(dom: FiniteSet, radix: int, hs, top):
     """The indices of the strategies dom -> choices whose choice at each asked
-    history, the `i`-th of `dom`, has its index in `top(i)`, in order, as an
-    iterator.
+    history, the `i`-th of `dom`, has its index in `top(i)`, in order.
 
     `enumerate_functions` lists a function space mixed-radix, the first
     history's choice most significant, so the answer is the product of
@@ -323,7 +322,7 @@ def _product_states(dom: FiniteSet, radix: int, hs, top):
     for h in hs:
         i = dom.index(h)  # raises TypeMismatch off the source, as `s(h)` would
         allowed[i] = [j * weights[i] for j in top(i)]
-    return map(sum, itertools.product(*allowed))
+    return list(map(sum, itertools.product(*allowed)))
 
 
 def unit_game(d: Diset) -> OpenGame:
@@ -334,7 +333,7 @@ def trivial_game(lens: Lens, label="trivial") -> OpenGame:
     """A strategically trivial game: one strategy, always best."""
     return OpenGame(
         lens.dom, lens.cod, UNIT_SET, lambda _: lens, None, label=label,
-        states=lambda hs, k: [UNIT], trivial=True,
+        states=lambda hs, k: [0], trivial=True,
     )
 
 
@@ -360,12 +359,11 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
             raise TypeMismatch("continuation does not match the decision's choices")
         _check_payoffs(k, dst.backward)
         top = _argmax([r[0] for r in k.values])
-        return list(map(strategies.elements.__getitem__,
-                        _product_states(x, len(y), hs, lambda i: top)))
+        return _product_states(x, len(y), hs, lambda i: top)
 
     def relation(h, k, memo):
         # Every strategy has the same best responses: those into the argmax at h.
-        return (_mask(map(strategies._index.__getitem__, states((h,), k))),) * len(strategies)
+        return (_mask(states((h,), k)),) * len(strategies)
 
     return OpenGame(src, dst, strategies, play, relation, label="decision", states=states)
 
@@ -401,7 +399,7 @@ def copy_decision(sets) -> OpenGame:
     def transport(s, k):
         # `apply_continuation(play(s), k)` by table lookup: history i extended by
         # choice y is row i * len(last) + last.index(y) of `k`, a table on `out`.
-        if s not in strategies:
+        if not (isinstance(s, TotalFn) and s.dom == hist and s.cod == last):
             raise TypeMismatch(f"not a strategy of copy-decision: {s!r}")
         if k.dom != out:
             raise TypeMismatch("continuation does not match lens codomain")
@@ -419,12 +417,11 @@ def copy_decision(sets) -> OpenGame:
             raise TypeMismatch("continuation does not match the copy decision's target")
         _check_payoffs(k, dst.backward)
         m, rows = len(last), k.values
-        picked = _product_states(hist, m, hs,
-                                 lambda i: _argmax([r[n - 1] for r in rows[i * m:(i + 1) * m]]))
-        return list(map(strategies.elements.__getitem__, picked))
+        return _product_states(hist, m, hs,
+                               lambda i: _argmax([r[n - 1] for r in rows[i * m:(i + 1) * m]]))
 
     def relation(h, k, memo):
-        return (_mask(map(strategies._index.__getitem__, states((h,), k))),) * len(strategies)
+        return (_mask(states((h,), k)),) * len(strategies)
 
     return OpenGame(src, dst, strategies, play, relation, label="copy-decision", states=states,
                     transport=transport)
@@ -531,28 +528,28 @@ def product_games(games) -> OpenGame:
 
 
 def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> list:
-    """Pairs (s, t): t in `second`'s states at the histories s hands on, s in
-    `first`'s states against the cut t leaves."""
+    """Pairs (s, t) at index `s * len(h.strategies) + t`: t in `second`'s states at
+    the histories s hands on, s in `first`'s states against the cut t leaves."""
     seconds = {}  # histories reached by a first-stage strategy -> `second` there
     firsts = {}  # second-stage state -> `first` against the cut it leaves
     out = []
-    for s in g.strategies:
-        reached = frozenset(g.reach(s, hists))
+    for s, sigma in enumerate(g.strategies):
+        reached = frozenset(g.reach(sigma, hists))
         ts = seconds.get(reached)
         if ts is None:
             ts = seconds[reached] = second(reached, k)
         for t in ts:
             ss = firsts.get(t)
             if ss is None:
-                ss = firsts[t] = set(first(hists, h.transport(t, k)))
+                ss = firsts[t] = set(first(hists, h.transport(h.strategies.elements[t], k)))
             if s in ss:
-                out.append((s, t))
+                out.append(s * len(h.strategies) + t)
     return out
 
 
 def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) -> list:
-    """Pairs (s1, s2), in product order: at each joint history, each factor in
-    its rule's states against the continuation its partner's move leaves.
+    """Pairs (s1, s2) at index `s1 * len(g2.strategies) + s2`: at each joint history,
+    each factor in its rule's states against the continuation its partner's move leaves.
 
     A rule's states at several histories are its states at each, so a factor
     is asked once per partner move, at the own histories meeting it, once a
@@ -582,33 +579,33 @@ def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) ->
         return got
 
     passes = {}  # s1 -> the s2, in order, at whose left contexts s1 passes
-    for s2 in g2.strategies:
+    for s2, partner in enumerate(g2.strategies):
         ok = None  # every s1, while no context is checked
-        for key in contexts(0, s2):
+        for key in contexts(0, partner):
             ok = states_at(key) if ok is None else ok & states_at(key)
             if not ok:
                 break
-        for s1 in g1.strategies if ok is None else ok:
+        for s1 in range(len(g1.strategies)) if ok is None else ok:
             passes.setdefault(s1, []).append(s2)
     out = []
-    for s1 in g1.strategies:
-        s2s = passes.get(s1)
-        if s2s:
-            rights = contexts(1, s1)
-            out.extend((s1, s2) for s2 in s2s if all(s2 in states_at(key) for key in rights))
+    for s1 in sorted(passes):
+        rights = contexts(1, g1.strategies.elements[s1])
+        out.extend(s1 * len(g2.strategies) + s2 for s2 in passes[s1]
+                   if all(s2 in states_at(key) for key in rights))
     return out
 
 
 def product_states(games, hists, k: TotalFn, rules) -> list:
-    """The product of each child's states at its tagged histories, since only the
-    tagged branch is played; a child with none is asked too, until one has no states."""
+    """The product of each child's states at its tagged histories, mixed-radix as in the rows,
+    since only the tagged branch is played; a child with none is asked too, until one has none."""
     per_child = []
     for j, (g, rule) in enumerate(zip(games, rules)):
         mine = [hist.value for hist in hists if hist.side == j]
-        per_child.append(rule(mine, branch_continuation(k, j, g.dst)))
+        low = math.prod(len(c.strategies) for c in games[j + 1:])
+        per_child.append([i * low for i in rule(mine, branch_continuation(k, j, g.dst))])
         if not per_child[-1]:
             return []
-    return list(itertools.product(*per_child))
+    return list(map(sum, itertools.product(*per_child)))
 
 
 def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:

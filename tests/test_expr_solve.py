@@ -1,5 +1,6 @@
 """Composition trees and the solvers built on them."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -139,6 +140,33 @@ def test_refined_solutions_are_solutions(rng):
         nash = set(nash_sequential(sq))
         for profile, _ in spe_sequential(sq):
             assert profile in nash
+
+
+# Strictly increasing maps of exact payoffs; -1/(x + 100) needs x > -100.
+MONOTONE = (
+    lambda x: 3 * x ** 3 + 1,
+    lambda x: -1 / (x + 100),
+    lambda x: 7 * x - Q(1, 3),
+    lambda x: x ** 5,
+)
+
+
+def test_solutions_are_invariant_under_increasing_payoff_maps():
+    """Each player's payoffs through one strictly increasing map leave every
+    Nash and subgame-perfect answer as it was, order included."""
+    def remapped(game, build, rng):
+        maps = [rng.choice(MONOTONE) for _ in game.choices]
+        return build(game.choices, lambda p: tuple(
+            f(v) for f, v in zip(maps, game.payoff(p))))
+
+    for seed in range(200):
+        rng = random.Random(f"monotone/{seed}")
+        nf = random_normal_form(rng)
+        assert nash_normal_form(remapped(nf, normal_form, rng)) == nash_normal_form(nf), seed
+        sq = random_sequential(rng)
+        moved = remapped(sq, sequential_game, rng)
+        assert nash_sequential(moved) == nash_sequential(sq), seed
+        assert [p for p, _ in spe_sequential(moved)] == [p for p, _ in spe_sequential(sq)], seed
 
 
 def test_solve_sequential_modes():

@@ -137,9 +137,9 @@ def test_one_shot_states_reject_a_continuation_on_another_domain():
             k = total_fn(dom, Payoff(len(sets)), lambda _: (Fraction(0),) * len(sets))
             with pytest.raises(TypeMismatch):
                 c.states(list(c.src.forward), k)
-    # The same tables on the right domain are read.
+    # The same tables on the right domain are read; a tie keeps every index.
     k = total_fn(MOVES, Payoff(1), lambda _: Q(0))
-    assert g.states(["C"], k) == list(g.strategies)
+    assert g.states(["C"], k) == list(range(len(g.strategies)))
 
 
 def test_one_shot_states_reject_a_continuation_off_their_payoff_carrier():
@@ -588,7 +588,10 @@ def test_states_match_the_definition_on_random_composites():
                 k = total_fn(
                     g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
                 )
-                assert game_states(g, k) == _definition_states(g, best, k), (seed, g)
+                states = game_states(g, k)
+                assert states == _definition_states(g, best, k), (seed, g)
+                # The engine answers by ascending index and decodes only in `game_states`.
+                assert g.states(g.src.forward, k) == list(map(g.strategies.index, states))
 
 
 def _plumbing_games(rng):
@@ -816,7 +819,11 @@ def test_copy_decision_transport_is_the_pulled_back_continuation(n):
     wrong_dom = total_fn(make_set(["w"]), qn, lambda _: values[0])
     words = make_set(["ab"])
     not_vectors = total_fn(out, words, lambda _: "ab")
-    for sigma, kk in [(s, wrong_dom), ("not a strategy", k), ([1], k), (s, not_vectors)]:
+    # A table of the right length and codomain on another domain is no strategy.
+    other = make_set([f"o{i}" for i in range(len(s.dom))])
+    elsewhere = total_fn(other, s.cod, lambda x: s.values[other.index(x)])
+    for sigma, kk in [(s, wrong_dom), ("not a strategy", k), ([1], k), (s, not_vectors),
+                      (elsewhere, k)]:
         with pytest.raises(TypeMismatch):
             g.transport(sigma, kk)
         # A one-stage play lens keeps no payoff coordinate, so it reads no value.
@@ -897,7 +904,8 @@ def test_decision_states_at_history_subsets_match_the_definition():
             )
             for r in range(1, len(histories) + 1):
                 for hs in itertools.combinations(histories, r):
-                    expected = [s for s in g.strategies if all(best(h, k, s, s) for h in hs)]
+                    expected = [i for i, s in enumerate(g.strategies)
+                                if all(best(h, k, s, s) for h in hs)]
                     assert g.states(hs, k) == expected, (g, hs)
                     assert g.states(hs[::-1] + hs[:1], k) == expected, (g, hs)
             for off in [("off",), (histories[0], "off")]:

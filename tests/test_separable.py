@@ -404,8 +404,9 @@ def test_an_untagged_product_child_plays_anything_under_nash():
     k = total_fn(game.dst.forward, game.dst.backward, lambda t: (Q(t.value == "C"),))
     tagged = [h.value for h in game.src.forward if h.side == 1]
     kb = branch_continuation(k, 1, b.dst)
-    assert game.states([Tag(1, h) for h in tagged], k) == list(
-        product(a.strategies, b.states(tagged, kb))
-    )
+    assert game.states([Tag(1, h) for h in tagged], k) == [
+        game.strategies.index(p)
+        for p in product(a.strategies, map(b.strategies.elements.__getitem__, b.states(tagged, kb)))
+    ]
     (profile, _), = separable_states_over(expr, k)
     assert profile[0](make_set(["u"]).elements[0]) == "C"
