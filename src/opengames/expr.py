@@ -10,6 +10,7 @@ re-derived afterwards, only for the profiles returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import TypeMismatch
@@ -123,7 +124,7 @@ def separable_states_over(expr: GameExpr, continuation: TotalFn):
     if continuation.dom != eval_expr(expr).dst.forward:
         raise TypeMismatch("continuation must live on the expression's target boundary")
     memo, elements = {}, eval_expr(expr).strategies.elements
-    return [(elements[i], _certificate(expr, elements[i], continuation, memo))
+    return [(elements[i], _certificate(expr, i, continuation, memo))
             for i in _separable(expr, continuation, memo)]
 
 
@@ -155,26 +156,30 @@ def _part(expr, memo):
     return rule
 
 
-def _certificate(expr, profile, k, memo):
-    """The witness of a separable profile: the contexts the joins checked it at."""
+def _certificate(expr, i, k, memo):
+    """The witness of the separable profile at index `i`: the contexts the joins checked it at."""
     if isinstance(expr, Atom):
-        return CertAtom(profile, k)
+        return CertAtom(expr.game.strategies.elements[i], k)
     if isinstance(expr, Seq):
-        cut = derived(memo, eval_expr(expr.second).transport, profile[1], k)
-        return CertSeq(_certificate(expr.first, profile[0], cut, memo),
-                       _certificate(expr.second, profile[1], k, memo), cut)
+        s, t = divmod(i, len(eval_expr(expr.second).strategies))
+        cut = derived(memo, eval_expr(expr.second).transport, t, k)
+        return CertSeq(_certificate(expr.first, s, cut, memo),
+                       _certificate(expr.second, t, k, memo), cut)
     if isinstance(expr, Tensor):
+        parts = divmod(i, len(eval_expr(expr.right).strategies))
         sides = ([], [])
         joint = len(eval_expr(expr).src.forward)  # with no joint history nothing is checked
         for side, own, partner in ((0, expr.left, expr.right), (1, expr.right, expr.left)):
             hists = eval_expr(partner).src.forward if joint else ()
-            for h, move in zip(hists, eval_expr(partner).reach(profile[1 - side], hists)):
+            for h, move in zip(hists, eval_expr(partner).reach(parts[1 - side], hists)):
                 kf = derived(memo, factor_continuation, k, side, move, eval_expr(own).dst)
-                sides[side].append((h, _certificate(own, profile[side], kf, memo)))
+                sides[side].append((h, _certificate(own, parts[side], kf, memo)))
         return CertTensor(tuple(sides[0]), tuple(sides[1]))
+    sizes = [len(eval_expr(c).strategies) for c in expr.children]  # mixed-radix, as in the rows
     return CertProduct(tuple(
-        _certificate(c, p, derived(memo, branch_continuation, k, j, eval_expr(c).dst), memo)
-        for j, (c, p) in enumerate(zip(expr.children, profile))
+        _certificate(c, i // math.prod(sizes[j + 1:]) % sizes[j],
+                     derived(memo, branch_continuation, k, j, eval_expr(c).dst), memo)
+        for j, c in enumerate(expr.children)
     ))
 
 

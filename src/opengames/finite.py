@@ -402,30 +402,41 @@ def enumerate_functions(dom: FiniteSet, cod: FiniteSet):
 
 
 def format_value(v) -> str:
-    if v is UNIT:
-        return "*"
-    if isinstance(v, Tag):
-        return f"{inj_name(v.side)}({format_value(v.value)})"
-    if isinstance(v, tuple):
-        return "(" + ", ".join(format_value(x) for x in v) + ")"
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, TotalFn):
-        return format_fn(v)
-    return str(v)
+    """`v` as text.  Pieces still to write wait on a stack, the next on top, and a
+    `str` piece writes as itself, so a value nested past the recursion limit formats too."""
+    out, todo = [], [v]
+    while todo:
+        v = todo.pop()
+        if type(v) is str:
+            out.append(v)
+        elif isinstance(v, tuple):  # each item but the last followed by ", "
+            todo += [")", *[p for x in reversed(v) for p in (x, ", ")][:-1], "("]
+        elif isinstance(v, Tag):
+            todo += (")", v.value, inj_name(v.side) + "(")
+        elif isinstance(v, TotalFn) and len(v.dom) == 1:
+            todo.append(v.values[0])
+        elif isinstance(v, TotalFn):
+            pairs = zip(reversed(v.dom.elements), reversed(v.values))
+            todo += ["]", *[p for x, y in pairs for p in (y, "->", x, ", ")][:-1], "["]
+        else:
+            out.append("*" if v is UNIT else str(v))
+    return "".join(out)
 
 
 def format_fn(f: TotalFn) -> str:
-    if len(f.dom) == 1:
-        return format_value(f.values[0])
-    pairs = ", ".join(
-        f"{format_value(x)}->{format_value(y)}" for x, y in zip(f.dom, f.values)
-    )
-    return "[" + pairs + "]"
+    return format_value(f)
 
 
 def value_to_json(v):
-    """JSON-friendly form: pairs become lists, everything else a string."""
-    if isinstance(v, tuple) and not (v and all(isinstance(q, Fraction) for q in v)):
-        return [value_to_json(x) for x in v]
-    return format_value(v)
+    """JSON-friendly form: pairs become lists, everything else a string.  Built in
+    place from a stack of (value, list it goes into), so any depth converts."""
+    top = []
+    todo = [(v, top)]
+    while todo:
+        v, into = todo.pop()
+        if isinstance(v, tuple) and not (v and all(isinstance(q, Fraction) for q in v)):
+            into.append([])
+            todo += [(x, into[-1]) for x in reversed(v)]
+        else:
+            into.append(format_value(v))
+    return top[0]

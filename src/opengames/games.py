@@ -4,9 +4,10 @@ A game from diset Phi to diset Psi carries a finite strategy set, a play
 lens Phi -> Psi for each strategy, and one best-response rule: at a
 context (history, continuation) it gives each strategy a row, an int
 whose bit `j` is set when the `j`-th strategy responds best
-(`OpenGame.rows`).  `relation` decodes the rows, `responses` one row,
-and `best` is membership in it.  Composite strategy sets are products
-whose elements mirror the expression shape.
+(`OpenGame.rows`).  `play`, `transport` and `reach` name a strategy by
+its index too, so the engine reads a composite strategy set, a product
+mirroring the expression shape, only by its size.  `relation` decodes
+the rows, `responses` one row, and `best` is membership in it.
 
 Each constructor builds its rows from its parts' rows: a decision shares
 one row, the strategies into its argmax, among all strategies; seq asks
@@ -20,7 +21,8 @@ States of seq, tensor and product games come from one join per
 combinator (`seq_states`, `tensor_states`, `product_states`).  Every
 states rule answers as rows index: with the ascending indices of its
 states, a join's pairs and profiles where the rows put them.  Only
-`game_states` and `expr.separable_states_over` decode them.  A composite
+`game_states` and `expr.separable_states_over` decode them, and inside
+the engine only an atom's play decodes its strategy.  A composite
 game passes its parts' own `states`; separable states (`expr`) pass each
 part's separable states, so Nash and subgame-perfect profiles share the
 joins.  A decision's states are a product of choice indices, its argmax
@@ -44,16 +46,16 @@ and product rules build no cut, factor or branch continuation for a
 trivial part; the states joins still do.
 
 A seq game pulls a continuation back to its cut stage by stage
-(`OpenGame.transport`), and seq, tensor and product games hand histories
-on through their parts (`OpenGame.reach`), so the joins build no
-composite play lens; a copy decision reads its cut off the
-continuation's table, with no play lens.
+(`OpenGame.transport`), a tensor game through its factors' play lenses,
+and seq, tensor and product games hand histories on through their parts
+(`OpenGame.reach`), so the joins build no composite play lens; a copy
+decision reads its cut off the continuation's table, with no play lens.
 
 A top-level call (`check_morphism`, `find_globular_iso`, `relation`,
 `responses`, `is_state`, `separable_states_over`, the `states` fallback)
 makes one store, a dict passed as `memo`, and drops it on return: `rows`
-keeps rows there by game and context, and `derived` each cut, factor,
-branch or pulled-back table by builder and arguments, so a call builds
+keeps rows there by game and context, and `derived` each cut, move,
+factor, branch or pulled-back table by builder and arguments, so a call builds
 each once.  The states joins keep their own tables per call.  A tensor
 game builds its boundaries once and its play lenses onto them.
 """
@@ -79,12 +81,14 @@ from .finite import (
     flat_product,
     nested_product,
     product_set,
+    total_fn,
 )
 from .lenses import (
     Context,
     Diset,
     Lens,
     USecond,
+    UTensor,
     _NEST_RIGHT,
     _PAD_RIGHT,
     _lens_tensor,
@@ -105,8 +109,8 @@ from .lenses import (
 
 
 class OpenGame:
-    """An open game.  It keeps one table, its play lenses (`_play_cache`): bounded by
-    its strategies, derived from no continuation, and read at every context of a check."""
+    """An open game, keeping no table of its own.  `play`, `transport`, `reach`, `rows`
+    and `states` name a strategy by its index; `relation`, `responses` and `best` by value."""
 
     def __init__(self, src: Diset, dst: Diset, strategies: FiniteSet, play, relation, label="",
                  states=None, transport=None, reach=None, trivial=False):
@@ -116,36 +120,28 @@ class OpenGame:
         self._play = play
         self._relation = relation
         self._states = states
-        self._transport = transport
-        self._reach = reach
+        self._transport = transport or (lambda i, k: apply_continuation(play(i), k))
+        self._reach = reach or (lambda i, hists: list(map(play(i).view, hists)))
         self.trivial = trivial
         self.label = label
-        self._play_cache = {}
 
-    def play(self, sigma) -> Lens:
-        try:
-            lens = self._play_cache.get(sigma)
-        except TypeError:  # unhashable, so not a strategy
-            lens = None
-        if lens is None:
-            if sigma not in self.strategies:
-                raise TypeMismatch(f"not a strategy of {self.label or 'game'}: {sigma!r}")
-            lens = self._play(sigma)
-            self._play_cache[sigma] = lens
-        return lens
+    def _at(self, i) -> int:
+        """`i`, checked to index a strategy: a bool, a value or an index out of range does not."""
+        if type(i) is int and 0 <= i < len(self.strategies):
+            return i
+        raise TypeMismatch(f"not a strategy index of {self.label or 'game'}: {i!r}")
 
-    def transport(self, sigma, k) -> TotalFn:
-        """`apply_continuation(self.play(sigma), k)`: `k` on the target pulled back
+    def play(self, i) -> Lens:
+        return self._play(self._at(i))
+
+    def transport(self, i, k) -> TotalFn:
+        """`apply_continuation(self.play(i), k)`: `k` on the target pulled back
         to the source, stage by stage in a seq game."""
-        if self._transport is None:
-            return apply_continuation(self.play(sigma), k)
-        return self._transport(sigma, k)
+        return self._transport(self._at(i), k)
 
-    def reach(self, sigma, hists) -> list:
-        """The history `play(sigma).view` hands on from each of `hists`, in order."""
-        if self._reach is None:
-            return list(map(self.play(sigma).view, hists))
-        return self._reach(sigma, hists)
+    def reach(self, i, hists) -> list:
+        """The history `play(i).view` hands on from each of `hists`, in order."""
+        return self._reach(self._at(i), hists)
 
     def best(self, history, continuation, sigma, deviation) -> bool:
         """Whether `deviation` is a best response to `sigma` at the context."""
@@ -217,7 +213,11 @@ def derived(memo: dict, build, *args):
 
 
 def _cuts(h: OpenGame, k: TotalFn) -> list:  # the cut each strategy of `h` leaves of `k`
-    return [h.transport(t, k) for t in h.strategies]
+    return [h.transport(t, k) for t in range(len(h.strategies))]
+
+
+def _moves(g: OpenGame, hist) -> list:  # the history each strategy of `g` hands on from `hist`
+    return [g.reach(s, (hist,))[0] for s in range(len(g.strategies))]
 
 
 def _bits(mask: int):
@@ -351,8 +351,8 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
     src = Diset(x, UNIT_SET)
     dst = Diset(y, Payoff(1))
 
-    def play(s):
-        return Lens(src, dst, s, USecond(lit(UNIT)))
+    def play(i):
+        return Lens(src, dst, strategies.elements[i], USecond(lit(UNIT)))
 
     def states(hs, k):
         if k.dom != y:
@@ -365,7 +365,8 @@ def decision(x: FiniteSet, y: FiniteSet) -> OpenGame:
         # Every strategy has the same best responses: those into the argmax at h.
         return (_mask(states((h,), k)),) * len(strategies)
 
-    return OpenGame(src, dst, strategies, play, relation, label="decision", states=states)
+    return OpenGame(src, dst, strategies, play, relation, label="decision", states=states,
+                    reach=lambda i, hists: list(map(strategies.elements[i], hists)))
 
 
 def copy_decision(sets) -> OpenGame:
@@ -388,24 +389,20 @@ def copy_decision(sets) -> OpenGame:
     strategies = _derived_set(tuple(enumerate_functions(hist, last)))
     drop = USecond(leaf((), take=tuple(range(n - 1))))
 
-    def play(s):
-        if n == 1:
-            view = s
-        else:
-            # `s` is a table over `hist` into `last`, so each pair lies in `out`.
-            view = _derived_fn(hist, out, tuple(zip(hist.elements, s.values)))
+    def play(i):
+        s = strategies.elements[i]
+        # `s` is a table over `hist` into `last`, so each pair lies in `out`.
+        view = s if n == 1 else _derived_fn(hist, out, tuple(zip(hist.elements, s.values)))
         return Lens(src, dst, view, drop)
 
-    def transport(s, k):
-        # `apply_continuation(play(s), k)` by table lookup: history i extended by
-        # choice y is row i * len(last) + last.index(y) of `k`, a table on `out`.
-        if not (isinstance(s, TotalFn) and s.dom == hist and s.cod == last):
-            raise TypeMismatch(f"not a strategy of copy-decision: {s!r}")
+    def transport(i, k):
+        # `apply_continuation(play(i), k)` by table lookup: history j extended by
+        # choice y is row j * len(last) + last.index(y) of `k`, a table on `out`.
         if k.dom != out:
             raise TypeMismatch("continuation does not match lens codomain")
-        m, col, rows = len(last), last._index, k.values
+        m, col, rows, s = len(last), last._index, k.values, strategies.elements[i]
         try:  # each row but its last payoff
-            values = tuple(rows[i * m + col[y]][: n - 1] for i, y in enumerate(s.values))
+            values = tuple(rows[j * m + col[y]][: n - 1] for j, y in enumerate(s.values))
         except TypeError:  # a value that is not a vector cannot be sliced
             raise TypeMismatch(f"continuation values outside {dst.backward!r}") from None
         # Slices of a checked table into Q^n lie in Q^(n-1); other tables are checked.
@@ -432,25 +429,24 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
     if g.dst != h.src:
         raise TypeMismatch(f"cannot sequence: {g.dst!r} vs {h.src!r}")
     strategies = product_set(g.strategies, h.strategies)
+    width = len(h.strategies)  # pair (s, t) is index s * width + t
 
-    def play(st):
-        s, t = st
-        return lens_compose(g.play(s), h.play(t))
+    def play(i):
+        return lens_compose(g.play(i // width), h.play(i % width))
 
-    def transport(st, k):
-        return g.transport(st[0], h.transport(st[1], k))
+    def transport(i, k):
+        return g.transport(i // width, h.transport(i % width, k))
 
-    def reach(st, hists):
-        return h.reach(st[1], g.reach(st[0], hists))
+    def reach(i, hists):
+        return h.reach(i % width, g.reach(i // width, hists))
 
     def relation(hist, k, memo):
         # g is judged against the cut each second-stage strategy leaves, h at
         # the history each first-stage strategy hands on; a trivial g needs no cut.
-        cuts = ([(1,)] * len(h.strategies) if g.trivial
+        cuts = ([(1,)] * width if g.trivial
                 else [g.rows(hist, kt, memo) for kt in derived(memo, _cuts, h, k)])
-        # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
-        return _pair_rows(len(g.strategies), cuts,
-                          lambda i: h.rows(g.play(g.strategies.elements[i]).view(hist), k, memo))
+        moves = derived(memo, _moves, g, hist)
+        return _pair_rows(len(g.strategies), cuts, lambda s: h.rows(moves[s], k, memo))
 
     return OpenGame(g.src, h.dst, strategies, play, relation, label="seq",
                     states=lambda hists, k: seq_states(g, h, hists, k, g.states, h.states),
@@ -461,33 +457,40 @@ def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
     src = diset_tensor(g1.src, g2.src)
     dst = diset_tensor(g1.dst, g2.dst)
     strategies = product_set(g1.strategies, g2.strategies)
+    width = len(g2.strategies)  # pair (s1, s2) is index s1 * width + s2
 
-    def play(ss):
-        return _lens_tensor(src, dst, g1.play(ss[0]), g2.play(ss[1]))
+    def play(i):
+        return _lens_tensor(src, dst, g1.play(i // width), g2.play(i % width))
 
-    def reach(ss, hists):
-        return list(zip(g1.reach(ss[0], [x for x, _ in hists]),
-                        g2.reach(ss[1], [y for _, y in hists])))
+    def transport(i, k):  # `apply_continuation(play(i), k)`, with no view table built
+        if k.dom != dst.forward:
+            raise TypeMismatch("continuation does not match lens codomain")
+        a, b = g1.play(i // width), g2.play(i % width)
+        u = UTensor(a.update, b.update)
+        return total_fn(src.forward, src.backward,
+                        lambda x: u.apply(x, k((a.view(x[0]), b.view(x[1])))))
+
+    def reach(i, hists):
+        s1, s2 = divmod(i, width)
+        return list(zip(g1.reach(s1, [x for x, _ in hists]), g2.reach(s2, [y for _, y in hists])))
 
     def relation(hist, k, memo):
         # A factor's continuation depends on the partner's move only, so it is
         # built once per move and shared by every context and game that meets it.
-        def factor(side, partner):
-            own, other = (g1, g2)[side], (g1, g2)[1 - side]
+        def factor(side, move):  # one factor's rows against the partner's move
+            own = (g1, g2)[side]
             if own.trivial:
                 return (1,)
-            # Not `reach`: axiom 1 of `check_morphism` has cached every play lens.
-            move = other.play(partner).view(hist[1 - side])
             kf = derived(memo, factor_continuation, k, side, move, own.dst)
             return own.rows(hist[side], kf, memo)
 
-        return _pair_rows(len(g1.strategies), [factor(0, s2) for s2 in g2.strategies],
-                          lambda i: factor(1, g1.strategies.elements[i]))
+        moves1, moves2 = derived(memo, _moves, g1, hist[0]), derived(memo, _moves, g2, hist[1])
+        return _pair_rows(len(g1.strategies), [factor(0, m) for m in moves2],
+                          lambda s1: factor(1, moves1[s1]))
 
     return OpenGame(src, dst, strategies, play, relation, label="tensor",
                     states=lambda hists, k: tensor_states(g1, g2, hists, k, g1.states, g2.states),
-                    reach=reach,
-                    trivial=g1.trivial and g2.trivial)
+                    transport=transport, reach=reach, trivial=g1.trivial and g2.trivial)
 
 
 def product_games(games) -> OpenGame:
@@ -498,25 +501,26 @@ def product_games(games) -> OpenGame:
     src, _ = coproduct_diset([g.src for g in games])
     dst, injections = coproduct_diset([g.dst for g in games])
     strategies = flat_product([g.strategies for g in games])
+    # Profiles are mixed-radix, the first child most significant: child j's
+    # strategy is digit `i // lows[j] % sizes[j]` of profile i.
+    sizes = [len(g.strategies) for g in games]
+    lows = [math.prod(sizes[j + 1:]) for j in range(len(games))]
 
-    def play(sigma):
-        return copair_lenses(
-            [lens_compose(g.play(sigma[j]), injections[j]) for j, g in enumerate(games)]
-        )
+    def play(i):
+        return copair_lenses([lens_compose(g.play(i // lows[j] % sizes[j]), injections[j])
+                              for j, g in enumerate(games)])
 
-    def reach(sigma, hists):
-        return [Tag(x.side, games[x.side].reach(sigma[x.side], (x.value,))[0]) for x in hists]
+    def reach(i, hists):
+        return [Tag(x.side, games[x.side].reach(i // lows[x.side] % sizes[x.side], (x.value,))[0])
+                for x in hists]
 
     def relation(hist, k, memo):
         # Only the tagged child is played, so every other child may deviate freely.
-        # Profiles are mixed-radix, the first child most significant.
         j = hist.side
         child = games[j]
         kj = None if child.trivial else derived(memo, branch_continuation, k, j, child.dst)
         tagged = child.rows(hist.value, kj, memo)  # a trivial child reads no continuation
-        n = len(child.strategies)
-        low = math.prod(len(g.strategies) for g in games[j + 1:])
-        high = math.prod(len(g.strategies) for g in games[:j])
+        n, low, high = sizes[j], lows[j], math.prod(sizes[:j])
         blocks = ((1 << low) - 1) * _spread((1 << high) - 1, n * low)
         rows = [_spread(row, low) * blocks for row in tagged]
         return tuple(rows[x // low % n] for x in range(len(strategies)))
@@ -533,15 +537,15 @@ def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> li
     seconds = {}  # histories reached by a first-stage strategy -> `second` there
     firsts = {}  # second-stage state -> `first` against the cut it leaves
     out = []
-    for s, sigma in enumerate(g.strategies):
-        reached = frozenset(g.reach(sigma, hists))
+    for s in range(len(g.strategies)):
+        reached = frozenset(g.reach(s, hists))
         ts = seconds.get(reached)
         if ts is None:
             ts = seconds[reached] = second(reached, k)
         for t in ts:
             ss = firsts.get(t)
             if ss is None:
-                ss = firsts[t] = set(first(hists, h.transport(h.strategies.elements[t], k)))
+                ss = firsts[t] = set(first(hists, h.transport(t, k)))
             if s in ss:
                 out.append(s * len(h.strategies) + t)
     return out
@@ -562,7 +566,7 @@ def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) ->
     kfs = {}  # (side, partner move) -> that factor's continuation under k
     found = {}  # (side, partner move, own histories) -> that factor's states
 
-    def contexts(side, partner):  # where one factor is judged, given the partner's strategy
+    def contexts(side, partner):  # where one factor is judged, given the partner's strategy index
         meets = {}  # partner move -> the own histories meeting it
         for move, mine in zip((g1, g2)[1 - side].reach(partner, halves[1 - side]), halves[side]):
             meets.setdefault(move, []).append(mine)
@@ -579,9 +583,9 @@ def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) ->
         return got
 
     passes = {}  # s1 -> the s2, in order, at whose left contexts s1 passes
-    for s2, partner in enumerate(g2.strategies):
+    for s2 in range(len(g2.strategies)):
         ok = None  # every s1, while no context is checked
-        for key in contexts(0, partner):
+        for key in contexts(0, s2):
             ok = states_at(key) if ok is None else ok & states_at(key)
             if not ok:
                 break
@@ -589,7 +593,7 @@ def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) ->
             passes.setdefault(s1, []).append(s2)
     out = []
     for s1 in sorted(passes):
-        rights = contexts(1, g1.strategies.elements[s1])
+        rights = contexts(1, s1)
         out.extend(s1 * len(g2.strategies) + s2 for s2 in passes[s1]
                    if all(s2 in states_at(key) for key in rights))
     return out
@@ -612,7 +616,7 @@ def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
     """Pull the source boundary back along a lens into g's source."""
     if lens.cod != g.src:
         raise TypeMismatch("reindexing lens must land in the source boundary")
-    return OpenGame(lens.dom, g.dst, g.strategies, lambda s: lens_compose(lens, g.play(s)),
+    return OpenGame(lens.dom, g.dst, g.strategies, lambda i: lens_compose(lens, g.play(i)),
                     lambda h, k, memo: g.rows(lens.view(h), k, memo),
                     label=g.label, trivial=g.trivial)
 
@@ -621,7 +625,7 @@ def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
     """Push the target boundary forward along a lens out of g's target."""
     if lens.dom != g.dst:
         raise TypeMismatch("reindexing lens must start at the target boundary")
-    return OpenGame(g.src, lens.cod, g.strategies, lambda s: lens_compose(g.play(s), lens),
+    return OpenGame(g.src, lens.cod, g.strategies, lambda i: lens_compose(g.play(i), lens),
                     lambda h, k, memo: g.rows(h, derived(memo, apply_continuation, lens, k), memo),
                     label=g.label, trivial=g.trivial)
 
@@ -637,7 +641,7 @@ def reindex_strategies(g: OpenGame, f: TotalFn) -> OpenGame:
         inner = g.rows(h, k, memo)
         return tuple(_mask(d for d, p in enumerate(at) if inner[q] >> p & 1) for q in at)
 
-    return OpenGame(g.src, g.dst, f.dom, lambda s: g.play(f(s)), relation, label=g.label)
+    return OpenGame(g.src, g.dst, f.dom, lambda i: g.play(at[i]), relation, label=g.label)
 
 
 def copy_decision_composite(sets) -> OpenGame:

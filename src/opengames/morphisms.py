@@ -143,13 +143,11 @@ def check_morphism(m: GameMorphism, continuations=None) -> MorphismCheck:
     """
     g, g2 = m.source_game, m.target_game
     complete = is_enumerable(g.dst.backward)
-    for s in g.strategies:
-        left = lens_compose(m.s_lens, g.play(s))
-        right = lens_compose(g2.play(m.sigma_map(s)), m.t_lens)
-        if not lenses_equal(left, right):
-            return MorphismCheck(False, 1, (s,), complete)
-    ks = _continuations(g.dst, continuations)
     at = [g2.strategies.index(v) for v in m.sigma_map.values]  # each image's index in g2
+    for i, j in enumerate(at):
+        if not lenses_equal(lens_compose(m.s_lens, g.play(i)), lens_compose(g2.play(j), m.t_lens)):
+            return MorphismCheck(False, 1, (g.strategies.elements[i],), complete)
+    ks = _continuations(g.dst, continuations)
     failed = _first_unkept(g, g2, m.s_lens, m.t_lens, at, ks, {})
     if failed is None:
         return MorphismCheck(True, complete=complete)
@@ -228,7 +226,7 @@ def state_to_morphism(game: OpenGame, cert: StateCert) -> GameMorphism:
     return GameMorphism(
         unit_game(UNIT_DISET),
         game,
-        lens_compose(game.play(cert.sigma), k_eff),
+        lens_compose(game.play(game.strategies.index(cert.sigma)), k_eff),
         k_eff,
         total_fn(UNIT_SET, game.strategies, lambda _: cert.sigma),
     )
@@ -240,7 +238,7 @@ def morphism_to_state(m: GameMorphism) -> StateCert:
         raise NotAState("source is not the trivial game on the unit diset")
     sigma = m.sigma_map(next(iter(src.strategies)))
     k = lens_to_continuation(m.t_lens)
-    forced = lens_compose(m.target_game.play(sigma), m.t_lens)
+    forced = lens_compose(m.target_game.play(m.target_game.strategies.index(sigma)), m.t_lens)
     if not lenses_equal(m.s_lens, forced):
         raise NotAState("source leg is not the transported continuation")
     if not is_state(m.target_game, sigma, k):
@@ -294,16 +292,16 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     if len(g1.strategies) != len(g2.strategies):
         return None
 
-    def classes(game):
+    def classes(game):  # strategy indices grouped by play lens
         reps = []
-        for s in game.strategies:
-            lens = game.play(s)
+        for i in range(len(game.strategies)):
+            lens = game.play(i)
             for rep_lens, members in reps:
                 if lenses_equal(lens, rep_lens):
-                    members.append(s)
+                    members.append(i)
                     break
             else:
-                reps.append((lens, [s]))
+                reps.append((lens, [i]))
         return reps
 
     c1 = classes(g1)
@@ -330,22 +328,20 @@ def find_globular_iso(g1: OpenGame, g2: OpenGame, continuations=None):
     legs = lens_identity(g1.src), lens_identity(g1.dst)
     memo = {}
 
-    def preserves(mapping):
-        at = [g2.strategies.index(mapping[s]) for s in g1.strategies]
-        back = sorted(range(len(at)), key=at.__getitem__)  # the inverse bijection
-        return (_first_unkept(g1, g2, *legs, at, ks, memo) is None
-                and _first_unkept(g2, g1, *legs, back, ks, memo) is None)
-
-    def candidates(i, mapping):  # each class's permutations in turn, the first outermost
-        if i == len(pairing):
-            yield mapping
+    def candidates(c, at):  # each class's permutations in turn, the first outermost
+        if c == len(pairing):
+            yield at  # g1's i-th strategy to g2's `at[i]`-th, filled in place
             return
-        m1, m2 = pairing[i]
+        m1, m2 = pairing[c]
         for perm in itertools.permutations(m2):
-            yield from candidates(i + 1, {**mapping, **dict(zip(m1, perm))})
+            for i, j in zip(m1, perm):
+                at[i] = j
+            yield from candidates(c + 1, at)
 
-    for mapping in candidates(0, {}):
-        if preserves(mapping):
-            f = total_fn(g1.strategies, g2.strategies, lambda s: mapping[s])
-            return GameMorphism(g1, g2, *legs, f)
+    for at in candidates(0, [0] * len(g1.strategies)):
+        back = sorted(range(len(at)), key=at.__getitem__)  # the inverse bijection
+        if (_first_unkept(g1, g2, *legs, at, ks, memo) is None
+                and _first_unkept(g2, g1, *legs, back, ks, memo) is None):
+            images = tuple(map(g2.strategies.elements.__getitem__, at))
+            return GameMorphism(g1, g2, *legs, TotalFn(g1.strategies, g2.strategies, images))
     return None

@@ -107,16 +107,13 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
         label = f"random-{kind}-{rng.randrange(10 ** 6)}"
     m = rng.randint(1, max_strategies)
     strategies = make_set(tuple(f"s{i}" for i in range(m)))
-    plays = {s: random_lens(rng, src, dst) for s in strategies}
-
-    def play(s):
-        return plays[s]
+    plays = [random_lens(rng, src, dst) for _ in strategies]
 
     if kind == "argmax":
 
         def relation(h, k, memo):
             # The rule ignores the current strategy, so every row is the same.
-            scores = [dst.backward.index(k(plays[s].view(h))) for s in strategies]
+            scores = [dst.backward.index(k(lens.view(h))) for lens in plays]
             top = max(scores)
             return (sum(1 << j for j, score in enumerate(scores) if score >= top),) * m
 
@@ -130,7 +127,7 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
                 for s in strategies
             )
 
-    return OpenGame(src, dst, strategies, play, relation, label)
+    return OpenGame(src, dst, strategies, plays.__getitem__, relation, label)
 
 
 def random_shared_boundary_games(rng, count: int, max_strategies=3, max_size=2,

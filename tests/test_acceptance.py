@@ -148,7 +148,8 @@ def test_c1_market_entry():
 
     # The branch composite reports each branch's value back to the first
     # mover: 0 for staying out, 3 for entering against accommodation.
-    mediator = eval_expr(doc.names["BRANCHES"][1]).play(profile[1])
+    branches = eval_expr(doc.names["BRANCHES"][1])
+    mediator = branches.play(branches.strategies.index(profile[1]))
     assert mediator.update_at(Tag(0, UNIT), UNIT) == (Fraction(0),)
     assert mediator.update_at(Tag(1, UNIT), UNIT) == (Fraction(3),)
 

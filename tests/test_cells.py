@@ -247,8 +247,9 @@ def test_copy_decision_pair_is_globularly_isomorphic():
     iso = find_globular_iso(direct, composite)
     assert iso is not None
     assert iso.globular
-    for s in direct.strategies:
-        assert lenses_equal(direct.play(s), composite.play(iso.sigma_map(s)))
+    for i, s in enumerate(direct.strategies):
+        j = composite.strategies.index(iso.sigma_map(s))
+        assert lenses_equal(direct.play(i), composite.play(j))
 
 
 # ---------- states travel along cells ----------

@@ -755,6 +755,13 @@ def test_reports_match_golden_files(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "separable"])
     assert code == 0
     assert out == (GOLDEN / "market_separable.json").read_text(encoding="utf-8")
+    # A product of three children, one of them a tensor inside a seq: profiles
+    # and certificates split an index into three mixed-radix digits.
+    for mode in ("states", "separable"):
+        monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "product3.og").read_text("utf-8")))
+        code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--expr", "BRANCHES", "--mode", mode])
+        assert code == 0
+        assert out == (GOLDEN / f"product3_{mode}.json").read_text(encoding="utf-8")
 
 
 def test_spe_report_matches_golden_file(capsys, monkeypatch):

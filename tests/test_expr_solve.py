@@ -237,7 +237,8 @@ def test_separable_certificate_shapes():
     second = eval_expr(expr.second)
     from opengames.lenses import apply_continuation
 
-    assert cert.cut == apply_continuation(second.play(cert.second.profile), k)
+    t = second.strategies.index(cert.second.profile)
+    assert cert.cut == apply_continuation(second.play(t), k)
 
 
 def test_tensor_certificates_cover_partner_histories():
@@ -358,7 +359,8 @@ def test_nash_never_tests_a_composite_best_response(rng, monkeypatch):
 
 
 def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
-    """On a prebuilt 5-player tensor, states neither re-check nor hash payoff tables.
+    """On a prebuilt 5-player tensor, states neither re-check payoff tables nor
+    hash any table, a strategy included: plays are asked by index.
 
     Each factor table is built once per state search (one continuation),
     side and partner move.
@@ -368,7 +370,7 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
     import opengames.finite as og_finite
     import opengames.games as og_games
     from opengames.classical import brute_nash
-    from opengames.finite import FiniteSet, TotalFn
+    from opengames.finite import TotalFn
     from opengames.sampling import random_fraction
     from opengames.solve import build_normal_form_expr
 
@@ -386,8 +388,7 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
         return contains(carrier, v)
 
     def hashing(fn):
-        if not isinstance(fn.cod, FiniteSet):
-            hashed.append(fn.cod)
+        hashed.append(fn.cod)
         return table_hash(fn)
 
     build = og_games.factor_continuation

@@ -193,7 +193,7 @@ def test_one_shot_states_reject_a_continuation_off_their_payoff_carrier():
 def test_decision_play_lens():
     g = decision(MOVES, MOVES)
     flip = total_fn(MOVES, MOVES, {"C": "D", "D": "C"})
-    lens = g.play(flip)
+    lens = g.play(g.strategies.index(flip))
     assert lens.view == flip
     assert lens.update_at("C", Q(7)) == UNIT
 
@@ -220,7 +220,7 @@ def test_copy_decision_boundaries_and_play():
     assert g.src == Diset(MOVES, Payoff(1))
     assert g.dst == Diset(make_set([(a, b) for a in MOVES for b in MOVES]), Payoff(2))
     copycat = total_fn(MOVES, MOVES, {"C": "C", "D": "D"})
-    lens = g.play(copycat)
+    lens = g.play(g.strategies.index(copycat))
     assert lens.view("C") == ("C", "C")
     assert lens.update_at("D", (Fraction(5), Fraction(6))) == (Fraction(5),)
 
@@ -229,7 +229,7 @@ def test_copy_decision_single_stage_is_plain_view():
     g = copy_decision([MOVES])
     assert g.src == Diset(UNIT_SET, Payoff(0))
     s = const_strategy(g, "D")
-    assert g.play(s).view(UNIT) == "D"
+    assert g.play(g.strategies.index(s)).view(UNIT) == "D"
 
 
 def test_copy_decision_best_looks_only_at_own_coordinate():
@@ -254,7 +254,7 @@ def test_copy_decision_best_looks_only_at_own_coordinate():
 def test_unit_and_trivial_games_are_always_best():
     d = Diset(MOVES, Payoff(1))
     u = unit_game(d)
-    assert u.play(UNIT).view("C") == "C"
+    assert u.play(0).view("C") == "C"
     assert u.best("C", None, UNIT, UNIT)
     t = trivial_game(runit_inv_lens(d), label="plumbing")
     assert t.label == "plumbing"
@@ -264,7 +264,7 @@ def test_unit_and_trivial_games_are_always_best():
 def test_utility_game_closes_the_boundary():
     payout = total_fn(MOVES, Payoff(1), {"C": Q(1), "D": Q(2)})
     g = utility_game(payout)
-    lens = g.play(UNIT)
+    lens = g.play(0)
     assert lens.cod.forward == UNIT_SET
     assert lens.update_at("D", UNIT) == Q(2)
 
@@ -396,7 +396,7 @@ def _atom_best(g, kind):
     if kind == "argmax":
 
         def score(h, k, t):
-            return g.dst.backward.index(k(g.play(t).view(h)))
+            return g.dst.backward.index(k(g.play(g.strategies.index(t)).view(h)))
 
         def best(h, k, s, d):
             return all(score(h, k, d) >= score(h, k, t) for t in g.strategies)
@@ -415,11 +415,12 @@ def _seq_best(g, gb, h, hb):
 
     @functools.cache
     def cut(t, k):
-        return apply_continuation(h.play(t), k)
+        return apply_continuation(h.play(h.strategies.index(t)), k)
 
     def best(hist, k, st, dd):
         (s, t), (s2, t2) = st, dd
-        return gb(hist, cut(t, k), s, s2) and hb(g.play(s).view(hist), k, t, t2)
+        reached = g.play(g.strategies.index(s)).view(hist)
+        return gb(hist, cut(t, k), s, s2) and hb(reached, k, t, t2)
 
     return best
 
@@ -429,11 +430,11 @@ def _tensor_best(g1, b1, g2, b2):
 
     @functools.cache
     def left(hist, k, s2):
-        return left_context(g2.play(s2), Context(hist, k), g1.dst)
+        return left_context(g2.play(g2.strategies.index(s2)), Context(hist, k), g1.dst)
 
     @functools.cache
     def right(hist, k, s1):
-        return right_context(g1.play(s1), Context(hist, k), g2.dst)
+        return right_context(g1.play(g1.strategies.index(s1)), Context(hist, k), g2.dst)
 
     def best(hist, k, ss, dd):
         (s1, s2), (d1, d2) = ss, dd
@@ -592,6 +593,85 @@ def test_states_match_the_definition_on_random_composites():
                 assert states == _definition_states(g, best, k), (seed, g)
                 # The engine answers by ascending index and decodes only in `game_states`.
                 assert g.states(g.src.forward, k) == list(map(g.strategies.index, states))
+
+
+class _OnlySize:
+    """A strategy set reduced to its size: it can be asked nothing else."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def _engine_answers(expr, k):
+    """The states, the separable states and the rows at every history of `expr` at `k`."""
+    from opengames import expr as og_expr
+
+    g = og_expr.eval_expr(expr)
+    return (g.states(g.src.forward, k), og_expr._separable(expr, k, {}),
+            [g.rows(h, k) for h in g.src.forward])
+
+
+def _sizes_only(expr):
+    """Replace the strategy set of every non-atom node of `expr` by its size."""
+    from opengames.expr import Atom, Product, Seq, eval_expr
+
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Atom):
+            continue
+        eval_expr(node).strategies = _OnlySize(len(eval_expr(node).strategies))
+        todo += (node.children if isinstance(node, Product) else
+                 (node.first, node.second) if isinstance(node, Seq) else (node.left, node.right))
+
+
+def test_the_engine_reads_composite_strategy_sets_only_by_size(monkeypatch):
+    """States, separable states and rows name strategies by index and decode only
+    at atoms: with every composite's strategy set cut down to `len`, they answer
+    as before, on the market, a normal form, a chain and random trees."""
+    from opengames.classical import sequential_game
+    from opengames.cli import bundled_document_text
+    from opengames.dsl import parse_document
+    from opengames.expr import Atom, Product, Seq, Tensor, eval_expr
+    from opengames.sampling import random_fraction
+    from opengames.solve import build_normal_form_expr, build_sequential_expr
+
+    rng = random.Random(11)
+    market = parse_document(bundled_document_text()).names["H"][1]
+    cases = [
+        (market, total_fn(eval_expr(market).dst.forward, UNIT_SET, lambda _: UNIT)),
+        build_normal_form_expr(normal_form([MOVES] * 3, lambda p: tuple(
+            random_fraction(rng) for _ in range(3)))),
+        build_sequential_expr(sequential_game([MOVES] * 3, lambda p: tuple(
+            random_fraction(rng) for _ in range(3)))),
+    ]
+    # `_random_composite`'s trees, each composite recorded as an expression node.
+    nodes = {}
+
+    def recording(node):
+        def build(*parts):
+            lift = lambda g: nodes.get(g) or Atom(g)
+            expr = Product(list(map(lift, parts[0]))) if node is Product else node(*map(lift, parts))
+            nodes[eval_expr(expr)] = expr
+            return eval_expr(expr)
+        return build
+
+    for name, node in (("seq_compose", Seq), ("tensor_games", Tensor), ("product_games", Product)):
+        monkeypatch.setitem(globals(), name, recording(node))
+    for seed in range(60):
+        rng = random.Random(f"sizes/{seed}")
+        g, _ = _random_composite(rng, rng.randint(1, 2))
+        cases.append((nodes[g], total_fn(g.dst.forward, g.dst.backward,
+                                         lambda _: _random_value(rng, g.dst.backward))))
+    monkeypatch.undo()
+
+    for expr, k in cases:
+        before = _engine_answers(expr, k)
+        _sizes_only(expr)
+        assert _engine_answers(expr, k) == before, expr
 
 
 def _plumbing_games(rng):
@@ -796,7 +876,7 @@ def test_transport_matches_apply_continuation_on_random_trees():
                 k = total_fn(
                     g.dst.forward, g.dst.backward, lambda _: _random_value(rng, g.dst.backward)
                 )
-                for s in g.strategies:
+                for s in range(len(g.strategies)):
                     assert g.transport(s, k) == apply_continuation(g.play(s), k), (seed, g, s)
 
 
@@ -812,18 +892,19 @@ def test_copy_decision_transport_is_the_pulled_back_continuation(n):
         for _ in range(3):
             values = tuple(_random_value(rng, qn) for _ in out)
             for k in (_derived_fn(out, qn, values), TotalFn(out, qn, values)):
-                for s in g.strategies:
+                for s in range(len(g.strategies)):
                     assert g.transport(s, k) == apply_continuation(g.play(s), k), (sets, s)
 
-    s, k = g.strategies.elements[0], _derived_fn(out, qn, values)
+    s, k = 0, _derived_fn(out, qn, values)
     wrong_dom = total_fn(make_set(["w"]), qn, lambda _: values[0])
     words = make_set(["ab"])
     not_vectors = total_fn(out, words, lambda _: "ab")
-    # A table of the right length and codomain on another domain is no strategy.
-    other = make_set([f"o{i}" for i in range(len(s.dom))])
-    elsewhere = total_fn(other, s.cod, lambda x: s.values[other.index(x)])
+    # A strategy value, even a table on another domain, is no strategy index.
+    first = g.strategies.elements[0]
+    other = make_set([f"o{i}" for i in range(len(first.dom))])
+    elsewhere = total_fn(other, first.cod, lambda x: first.values[other.index(x)])
     for sigma, kk in [(s, wrong_dom), ("not a strategy", k), ([1], k), (s, not_vectors),
-                      (elsewhere, k)]:
+                      (elsewhere, k), (first, k)]:
         with pytest.raises(TypeMismatch):
             g.transport(sigma, kk)
         # A one-stage play lens keeps no payoff coordinate, so it reads no value.
@@ -839,7 +920,7 @@ def test_copy_decision_play_rejects_values_that_are_not_vectors(n):
     stage reads none, so it hands any value on."""
     sets = [make_set([f"m{i}", f"n{i}"]) for i in range(n)]
     g = copy_decision(sets)
-    s = g.strategies.elements[0]
+    s = 0
     for atoms in (make_set([5]), make_set(["ab"])):
         k = total_fn(g.dst.forward, atoms, lambda _: atoms.elements[0])
         if n == 1:
@@ -861,7 +942,7 @@ def test_reach_matches_the_play_view_on_random_trees():
         for g in games:
             hists = list(g.src.forward)
             rng.shuffle(hists)
-            for s in g.strategies:
+            for s in range(len(g.strategies)):
                 assert g.reach(s, hists) == list(map(g.play(s).view, hists)), (seed, g, s)
 
 
@@ -946,7 +1027,7 @@ def test_product_games_split_by_tag():
     )
     states = game_states(g, k)
     assert [(s[0](UNIT), s[1]("C"), s[1]("D")) for s in states] == [("C", "D", "D")]
-    lens = g.play(states[0])
+    lens = g.play(g.strategies.index(states[0]))
     assert lens.view(Tag(0, UNIT)) == Tag(0, "C")
     assert lens.view(Tag(1, "C")) == Tag(1, "D")
 
@@ -1034,13 +1115,13 @@ def test_tensor_states_keep_no_continuation_tables():
         assert retained < 0.1 * 2**20, (name, retained)
         # No table of cuts, factor continuations or relations lives on the game
         # or its play lenses.
-        assert not any(isinstance(v, dict) and v for v in vars(g).values() if v is not g._play_cache)
+        assert not any(isinstance(v, dict) for v in vars(g).values())
         for rule in (g._relation, g._states):
             if rule is not None:
                 assert not any(isinstance(v, dict)
                                for v in inspect.getclosurevars(rule).nonlocals.values()), name
-        for lens in g._play_cache.values():
-            assert not any(isinstance(v, dict) for v in vars(lens).values()), name
+        for i in range(len(g.strategies)):
+            assert not any(isinstance(v, dict) for v in vars(g.play(i)).values()), name
 
 
 def test_relations_keep_no_tables_across_calls():
@@ -1142,8 +1223,7 @@ def test_reindex_boundaries_compose_with_play():
     g = decision(MOVES, MOVES)
     lens = lens_identity(g.src)
     h = reindex_source(g, lens)
-    s = next(iter(g.strategies))
-    assert h.play(s).view("C") == g.play(s).view("C")
+    assert h.play(0).view("C") == g.play(0).view("C")
     with pytest.raises(TypeMismatch):
         reindex_source(g, lens_identity(g.dst))
     out = runit_inv_lens(Diset(MOVES, Payoff(1)))
@@ -1176,9 +1256,19 @@ def test_unknown_strategy_is_rejected():
     k = total_fn(MOVES, Payoff(1), {"C": Q(0), "D": Q(1)})
     for sigma in ["not a strategy", [1]]:
         with pytest.raises(TypeMismatch):
-            g.play(sigma)
-        with pytest.raises(TypeMismatch):
             g.responses(UNIT, k, sigma)
+    # Plays, transports and reaches take a strategy's index: a value, a bool or an
+    # index out of range is rejected before any lookup, with or without a rule of its own.
+    rng = random.Random(5)
+    for game in (g, copy_decision([MOVES, MOVES]), tensor_games(g, g)):
+        kk = total_fn(game.dst.forward, game.dst.backward,
+                      lambda _: _random_value(rng, game.dst.backward))
+        value = game.strategies.elements[0]
+        for i in ["not a strategy", [1], -1, len(game.strategies), True, value]:
+            for call in (game.play, lambda i: game.transport(i, kk),
+                         lambda i: game.reach(i, list(game.src.forward))):
+                with pytest.raises(TypeMismatch, match="not a strategy index"):
+                    call(i)
 
 
 def test_unhashable_history_is_rejected():

@@ -226,7 +226,7 @@ def test_morphism_to_state_rejects_tampered_source_leg():
     bad = GameMorphism(
         m.source_game,
         g,
-        lens_compose(g.play(other), eff),
+        lens_compose(g.play(g.strategies.index(other)), eff),
         eff,
         m.sigma_map,
     )
@@ -252,7 +252,7 @@ def shared_state_morphism(shared, game, sigma, k):
     return GameMorphism(
         shared,
         game,
-        lens_compose(game.play(sigma), eff),
+        lens_compose(game.play(game.strategies.index(sigma)), eff),
         eff,
         total_fn(UNIT_SET, game.strategies, lambda _: sigma),
     )
@@ -433,8 +433,9 @@ def test_axiom_two_witness_is_the_first_failing_pair():
         target = cell.target_game
         scrambled = {}
         for s in cell.source_game.strategies:
-            lens = target.play(cell.sigma_map(s))
-            same = [t for t in target.strategies if lenses_equal(target.play(t), lens)]
+            lens = target.play(target.strategies.index(cell.sigma_map(s)))
+            same = [t for j, t in enumerate(target.strategies)
+                    if lenses_equal(target.play(j), lens)]
             scrambled[s] = rng.choice(same)
         m = GameMorphism(
             cell.source_game,
@@ -456,8 +457,9 @@ def _scrambled(cell, rng):
     target = cell.target_game
     scrambled = {}
     for s in cell.source_game.strategies:
-        lens = target.play(cell.sigma_map(s))
-        same = [t for t in target.strategies if lenses_equal(target.play(t), lens)]
+        lens = target.play(target.strategies.index(cell.sigma_map(s)))
+        same = [t for j, t in enumerate(target.strategies)
+                if lenses_equal(target.play(j), lens)]
         scrambled[s] = rng.choice(same)
     return GameMorphism(
         cell.source_game,

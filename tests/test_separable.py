@@ -69,7 +69,7 @@ def _separable(expr, k, memo):
         h = eval_expr(expr.second)
         out = {}
         for tau, cert_second in _separable(expr.second, k, memo).items():
-            cut = h.transport(tau, k)
+            cut = h.transport(h.strategies.index(tau), k)
             for sigma, cert_first in _separable(expr.first, cut, memo).items():
                 out[(sigma, tau)] = CertSeq(cert_first, cert_second, cut)
 
@@ -110,7 +110,7 @@ def _separable(expr, k, memo):
 
 def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
     """Certify (sl, sr) against k; `subs` holds the factor tables built so far."""
-    right_view = gr.play(sr).view
+    right_view = gr.play(gr.strategies.index(sr)).view
     left_certs = []
     for h2 in gr.src.forward:
         y2 = right_view(h2)
@@ -121,7 +121,7 @@ def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
         if sl not in sub:
             return None
         left_certs.append((h2, sub[sl]))
-    left_view = gl.play(sl).view
+    left_view = gl.play(gl.strategies.index(sl)).view
     right_certs = []
     for h1 in gl.src.forward:
         y1 = left_view(h1)
@@ -301,7 +301,8 @@ def _check_witness(expr, profile, cert, k):
         assert profile in game_states(expr.game, k)
     elif isinstance(expr, Seq):
         assert isinstance(cert, CertSeq)
-        assert cert.cut == eval_expr(expr.second).transport(profile[1], k)
+        second = eval_expr(expr.second)
+        assert cert.cut == second.transport(second.strategies.index(profile[1]), k)
         _check_witness(expr.first, profile[0], cert.first, cert.cut)
         _check_witness(expr.second, profile[1], cert.second, k)
     elif isinstance(expr, Tensor):
@@ -312,7 +313,7 @@ def _check_witness(expr, profile, cert, k):
         for side, listed in enumerate((cert.left, cert.right)):
             own, partner = games[side], games[1 - side]
             assert [h for h, _ in listed] == (list(partner.src.forward) if joint else [])
-            view = partner.play(profile[1 - side]).view
+            view = partner.play(partner.strategies.index(profile[1 - side])).view
             for h, c in listed:
                 kf = factor_continuation(k, side, view(h), own.dst)
                 _check_witness(parts[side], profile[side], c, kf)

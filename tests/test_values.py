@@ -222,6 +222,36 @@ def test_value_to_json_shapes():
     assert value_to_json(()) == []
 
 
+def test_values_nested_past_the_recursion_limit_render():
+    """Rendering keeps its own stack: values 10,000 deep, far past the recursion
+    limit, format and convert to JSON as shallow ones do."""
+    depth = 10_000
+    pairs = nest_value(tuple(range(depth + 1)))  # ((0, 1), 2), ... left-nested
+    assert format_value(pairs) == "(" * depth + "0" + "".join(f", {i})" for i in range(1, depth + 1))
+    got = value_to_json(pairs)
+    for i in range(depth, 0, -1):
+        assert len(got) == 2 and got[1] == str(i)
+        got = got[0]
+    assert got == "0"
+
+    # Pairs, tags and one-point tables in turn; each tag is hashed as it is
+    # built, so the sets the tables need never hash deeper than one level.
+    value, opens, closes = "a", [], []
+    for i in range(1, depth + 1):  # ending on a tag, which JSON writes as text
+        if i % 3 == 0:
+            value, head, tail = (value, i), "(", f", {i})"
+        elif i % 3 == 1:
+            value, head, tail = Tag(i % 2, value), ("inl(", "inr(")[i % 2], ")"
+            hash(value)
+        else:
+            value, head, tail = total_fn(UNIT_SET, make_set([value]), lambda _, v=value: v), "", ""
+        opens.append(head)
+        closes.append(tail)
+    text = "".join(reversed(opens)) + "a" + "".join(closes)
+    assert format_value(value) == format_fn(value) == text
+    assert value_to_json((value, 0)) == [text, "0"]
+
+
 def test_tag_hashes_its_fields_once():
     """A tag hashes as `(side, value)` does, so sets keep their order, and its
     value, however deep, is hashed on the first call only."""
