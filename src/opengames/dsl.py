@@ -601,7 +601,8 @@ class _Analyzer:
             raise _err(form, "expected (NAME (SETS) PAYOFF)")
         name = _need_atom(items[1], "a name")
         sets = self._choice_sets(items[2])
-        if len(sets) > MAX_COMPOSITION:  # the engine chains one decision per player
+        # A sequential chain nests one stage per player; a normal form keeps its bound too.
+        if len(sets) > MAX_COMPOSITION:
             raise _err(form, f"composition depth {len(sets)} exceeds {MAX_COMPOSITION}")
         payoff = self._lookup(items[3], "payoff")
         if payoff.dom != nested_product(sets):

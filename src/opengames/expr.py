@@ -138,8 +138,8 @@ def _separable(expr, k, memo):
         out = seq_states(eval_expr(expr.first), eval_expr(expr.second), hists, k,
                          _part(expr.first, memo), _part(expr.second, memo))
     elif isinstance(expr, Tensor):
-        out = tensor_states(eval_expr(expr.left), eval_expr(expr.right), hists, k,
-                            _part(expr.left, memo), _part(expr.right, memo))
+        out = tensor_states([eval_expr(expr.left), eval_expr(expr.right)], hists, k,
+                            [_part(expr.left, memo), _part(expr.right, memo)])
     else:
         out = product_states([eval_expr(c) for c in expr.children], hists, k,
                              [_part(c, memo) for c in expr.children])
@@ -172,7 +172,7 @@ def _certificate(expr, i, k, memo):
         for side, own, partner in ((0, expr.left, expr.right), (1, expr.right, expr.left)):
             hists = eval_expr(partner).src.forward if joint else ()
             for h, move in zip(hists, eval_expr(partner).reach(parts[1 - side], hists)):
-                kf = derived(memo, factor_continuation, k, side, move, eval_expr(own).dst)
+                kf = derived(memo, factor_continuation, k, side, (move,), eval_expr(own).dst)
                 sides[side].append((h, _certificate(own, parts[side], kf, memo)))
         return CertTensor(tuple(sides[0]), tuple(sides[1]))
     sizes = [len(eval_expr(c).strategies) for c in expr.children]  # mixed-radix, as in the rows

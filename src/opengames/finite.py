@@ -220,20 +220,24 @@ class Payoff:
         return f"Q^{self.dim}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairCarrier:
-    fst: object
-    snd: object
+    """Tuples with one value per part: `PairCarrier(a, b)` holds pairs."""
+
+    parts: tuple
+
+    def __init__(self, *parts):
+        object.__setattr__(self, "parts", parts)
 
     def __repr__(self):
-        return f"({self.fst!r} x {self.snd!r})"
+        return "(" + " x ".join(map(repr, self.parts)) + ")"
 
 
-def tensor_carrier(a, b):
-    """Backward space of a tensor; two finite sets collapse to a concrete one."""
-    if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
-        return product_set(a, b)
-    return PairCarrier(a, b)
+def tensor_carrier(*parts):
+    """Backward space of a tensor, one part per factor; finite sets collapse to a concrete one."""
+    if all(isinstance(c, FiniteSet) for c in parts):
+        return flat_product(parts)
+    return PairCarrier(*parts)
 
 
 def is_enumerable(carrier) -> bool:
@@ -242,7 +246,7 @@ def is_enumerable(carrier) -> bool:
     if isinstance(carrier, Payoff):
         return carrier.dim == 0
     if isinstance(carrier, PairCarrier):
-        return is_enumerable(carrier.fst) and is_enumerable(carrier.snd)
+        return all(map(is_enumerable, carrier.parts))
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
 
@@ -258,9 +262,8 @@ def carrier_contains(carrier, v) -> bool:
     if isinstance(carrier, PairCarrier):
         return (
             isinstance(v, tuple)
-            and len(v) == 2
-            and carrier_contains(carrier.fst, v[0])
-            and carrier_contains(carrier.snd, v[1])
+            and len(v) == len(carrier.parts)
+            and all(map(carrier_contains, carrier.parts, v))
         )
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
@@ -296,7 +299,7 @@ def probe_values(carrier) -> list:
             vecs.append(tuple(Fraction(next(gen)) for _ in range(d)))
         return vecs
     if isinstance(carrier, PairCarrier):
-        return [(x, y) for x in probe_values(carrier.fst) for y in probe_values(carrier.snd)]
+        return list(itertools.product(*map(probe_values, carrier.parts)))
     raise TypeMismatch(f"not a carrier: {carrier!r}")
 
 
@@ -352,7 +355,7 @@ class TotalFn:
 
 def _derived_fn(dom: FiniteSet, cod, values: tuple) -> TotalFn:
     """A table whose values are known to lie in `cod`; see `TotalFn`."""
-    if len(values) != len(dom):
+    if len(values) != len(dom.elements):
         raise TypeMismatch("table length does not match domain size")
     fn = object.__new__(TotalFn)
     fn.__dict__.update(dom=dom, cod=cod, values=values)

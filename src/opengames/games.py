@@ -13,9 +13,10 @@ Each constructor builds its rows from its parts' rows: a decision shares
 one row, the strategies into its argmax, among all strategies; seq asks
 its first game once per cut a second-stage strategy leaves and its
 second game once per history handed on; tensor asks each factor once per
-partner move; a product asks only the tagged child.  Pair `(i, j)` of a
-seq or tensor game sits at index `i * width + j`, so its row is index
-arithmetic on its parts' rows, as is a product's.
+fibre its partners' moves leave; a product asks only the tagged child.
+Pair `(i, j)` of a seq game sits at index `i * width + j`, and tensor and
+product profiles are mixed-radix, as `flat_product` lists them, so every
+row is index arithmetic on the parts' rows.
 
 States of seq, tensor and product games come from one join per
 combinator (`seq_states`, `tensor_states`, `product_states`).  Every
@@ -33,10 +34,9 @@ as the reindexed ones, filter every strategy through their relation.
 The Nash path reads tables by index, not by lookup.  A decision takes
 its argmax in one pass over the rows of its continuation, a copy
 decision over the block of rows its history extends into; a tensor
-factor's continuation is a stride or a block of the joint table
-(`lenses.factor_continuation`); and the tensor join intersects the first
-factor's states per second-factor strategy, then emits its pairs in one
-ordered pass over the first factor's strategies.
+factor's continuation is a strided slice of the joint table
+(`lenses.factor_continuation`); and a normal form, one n-ary tensor of
+decisions, gets its Nash profiles from one join.
 
 Unit games and the games of a lens (`trivial_game`) are strategically
 trivial: one strategy, always a best response.  So are seq, tensor and
@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .errors import EmptyChoiceSet, TypeMismatch
 from .finite import (
@@ -81,14 +82,12 @@ from .finite import (
     flat_product,
     nested_product,
     product_set,
-    total_fn,
 )
 from .lenses import (
     Context,
     Diset,
     Lens,
     USecond,
-    UTensor,
     _NEST_RIGHT,
     _PAD_RIGHT,
     _lens_tensor,
@@ -266,6 +265,16 @@ def _pair_rows(count: int, firsts: list, seconds) -> tuple:
     return tuple(out)
 
 
+def _tensor_rows(sizes, moves, factor, j, before) -> tuple:
+    """The rows of a tensor's factors j.. once the earlier ones moved `before`: factor
+    j's rows on each fibre, `factor(j, fibre)`, paired with the rest's by `_pair_rows`."""
+    if j == len(sizes) - 1:
+        return factor(j, before)
+    rests = itertools.product(*moves[j + 1:])  # the later factors' moves, in profile order
+    return _pair_rows(sizes[j], [factor(j, before + rest) for rest in rests],
+                      lambda s: _tensor_rows(sizes, moves, factor, j + 1, before + (moves[j][s],)))
+
+
 def best_response(game: OpenGame, c: Context, sigma, deviation) -> bool:
     """Public evaluator with boundary checks."""
     if c.history not in game.src.forward:
@@ -314,9 +323,14 @@ def _product_states(dom: FiniteSet, radix: int, hs, top):
     `enumerate_functions` lists a function space mixed-radix, the first
     history's choice most significant, so the answer is the product of
     the allowed choice indices: an asked history allows the indices of its
-    argmax, any other history allows every choice.
+    argmax, any other history allows every choice.  Over one history, asked,
+    they are its argmax indices.
     """
     n = len(dom)
+    if n == 1 and hs:
+        for h in hs:
+            dom.index(h)  # raises TypeMismatch off the source, as `s(h)` would
+        return top(0)
     weights = [radix ** (n - 1 - i) for i in range(n)]
     allowed = [[j * w for j in range(radix)] for w in weights]
     for h in hs:
@@ -453,44 +467,45 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
                     transport=transport, reach=reach, trivial=g.trivial and h.trivial)
 
 
-def tensor_games(g1: OpenGame, g2: OpenGame) -> OpenGame:
-    src = diset_tensor(g1.src, g2.src)
-    dst = diset_tensor(g1.dst, g2.dst)
-    strategies = product_set(g1.strategies, g2.strategies)
-    width = len(g2.strategies)  # pair (s1, s2) is index s1 * width + s2
+def tensor_games(*games: OpenGame) -> OpenGame:
+    """Play `games` side by side; profiles are mixed-radix, as `flat_product` lists them."""
+    if not games:
+        raise TypeMismatch("empty tensor family")
+    src = diset_tensor(*[g.src for g in games])
+    dst = diset_tensor(*[g.dst for g in games])
+    strategies = flat_product([g.strategies for g in games])
+    sizes = [len(g.strategies) for g in games]
+    digits = list(itertools.product(*map(range, sizes)))  # profile i's strategy index in each game
 
-    def play(i):
-        return _lens_tensor(src, dst, g1.play(i // width), g2.play(i % width))
-
-    def transport(i, k):  # `apply_continuation(play(i), k)`, with no view table built
+    def transport(i, k):  # `apply_continuation(play(i), k)`, one column per factor
         if k.dom != dst.forward:
             raise TypeMismatch("continuation does not match lens codomain")
-        a, b = g1.play(i // width), g2.play(i % width)
-        u = UTensor(a.update, b.update)
-        return total_fn(src.forward, src.backward,
-                        lambda x: u.apply(x, k((a.view(x[0]), b.view(x[1])))))
+        lenses = list(map(OpenGame.play, games, digits[i]))
+        seen = map(k, itertools.product(*[l.view.values for l in lenses]))
+        cols = map(map, [l.update.apply for l in lenses], zip(*src.forward.elements), zip(*seen))
+        return TotalFn(src.forward, src.backward, tuple(zip(*cols)))
 
-    def reach(i, hists):
-        s1, s2 = divmod(i, width)
-        return list(zip(g1.reach(s1, [x for x, _ in hists]), g2.reach(s2, [y for _, y in hists])))
+    def reach(i, hists):  # each game hands on its own component of `hists`
+        own = list(zip(*hists)) or [()] * len(games)
+        return list(zip(*map(OpenGame.reach, games, digits[i], own)))
 
     def relation(hist, k, memo):
-        # A factor's continuation depends on the partner's move only, so it is
-        # built once per move and shared by every context and game that meets it.
-        def factor(side, move):  # one factor's rows against the partner's move
-            own = (g1, g2)[side]
-            if own.trivial:
-                return (1,)
-            kf = derived(memo, factor_continuation, k, side, move, own.dst)
-            return own.rows(hist[side], kf, memo)
+        # A factor's continuation depends on its partners' moves only, so it is
+        # built once per fibre and shared by every context and game that meets it.
+        moves = list(map(functools.partial(derived, memo, _moves), games, hist))
 
-        moves1, moves2 = derived(memo, _moves, g1, hist[0]), derived(memo, _moves, g2, hist[1])
-        return _pair_rows(len(g1.strategies), [factor(0, m) for m in moves2],
-                          lambda s1: factor(1, moves1[s1]))
+        def factor(j, fibre):  # game j's rows on the fibre its partners' moves leave
+            g = games[j]
+            return (1,) if g.trivial else g.rows(
+                hist[j], derived(memo, factor_continuation, k, j, fibre, g.dst), memo)
 
-    return OpenGame(src, dst, strategies, play, relation, label="tensor",
-                    states=lambda hists, k: tensor_states(g1, g2, hists, k, g1.states, g2.states),
-                    transport=transport, reach=reach, trivial=g1.trivial and g2.trivial)
+        return _tensor_rows(sizes, moves, factor, 0, ())
+
+    return OpenGame(src, dst, strategies,
+                    lambda i: _lens_tensor(src, dst, *map(OpenGame.play, games, digits[i])),
+                    relation, label="tensor", transport=transport, reach=reach,
+                    states=lambda hs, k: tensor_states(games, hs, k, [g.states for g in games]),
+                    trivial=all(g.trivial for g in games))
 
 
 def product_games(games) -> OpenGame:
@@ -551,52 +566,54 @@ def seq_states(g: OpenGame, h: OpenGame, hists, k: TotalFn, first, second) -> li
     return out
 
 
-def tensor_states(g1: OpenGame, g2: OpenGame, hists, k: TotalFn, left, right) -> list:
-    """Pairs (s1, s2) at index `s1 * len(g2.strategies) + s2`: at each joint history,
-    each factor in its rule's states against the continuation its partner's move leaves.
+def tensor_states(games, hists, k: TotalFn, rules) -> list:
+    """Profiles, mixed-radix as in the rows: at each joint history, each factor in
+    its rule's states on the fibre of `k` its partners' moves leave.
 
-    A rule's states at several histories are its states at each, so a factor
-    is asked once per partner move, at the own histories meeting it, once a
-    strategy passes the moves before: for each s2 the left states over the
-    contexts it leaves are intersected until none is left, and an s1's right
-    contexts are listed only once it passes some s2.  `expr._certificate`
-    lists the same contexts, none for an empty `hists`: change both together.
+    A factor is asked once per fibre, at the own histories meeting it, its states
+    intersected over the fibres one choice of partners leaves until none is left:
+    factor 0 for every choice, each later one only where profiles are still live.
+    A fibre is keyed by the int where it starts in `k`.  `expr._certificate` lists
+    the same contexts, none for an empty `hists`: change both together.
     """
-    halves = ([x for x, _ in hists], [y for _, y in hists])
-    kfs = {}  # (side, partner move) -> that factor's continuation under k
-    found = {}  # (side, partner move, own histories) -> that factor's states
+    outs = [g.dst.forward.elements for g in games]
+    steps = [math.prod(map(len, outs[j + 1:])) for j in range(len(games))]
+    lane = steps[0] * len(outs[0])  # one base-`lane` digit per joint history
+    mine = list(zip(*hists)) or [()] * len(games)
+    weights = [[step * lane ** t for t in range(len(hists))] for step in steps]
+    # What each strategy's moves add to its partners' fibre starts: they sum to them.
+    marks = [[sum(map(operator.mul, weights[j], map(g.dst.forward.index, g.reach(s, mine[j]))))
+              for s in range(len(g.strategies))] for j, g in enumerate(games)]
+    tables, passing = {}, {}
 
-    def contexts(side, partner):  # where one factor is judged, given the partner's strategy index
-        meets = {}  # partner move -> the own histories meeting it
-        for move, mine in zip((g1, g2)[1 - side].reach(partner, halves[1 - side]), halves[side]):
-            meets.setdefault(move, []).append(mine)
-        return [(side, move, tuple(mine)) for move, mine in meets.items()]
-
-    def states_at(key):  # one factor's states at one context, asked once
-        got = found.get(key)
+    def allowed(j, w):  # factor j's states where its partners' marks sum to w
+        got = passing.get((j, w))
         if got is None:
-            side, move, mine = key
-            kf = kfs.get((side, move))
-            if kf is None:
-                kf = kfs[(side, move)] = factor_continuation(k, side, move, (g1, g2)[side].dst)
-            got = found[key] = set((left, right)[side](mine, kf))
+            meets, rest = {}, w  # fibre start -> the own histories meeting it
+            for h in mine[j]:
+                rest, f = divmod(rest, lane)
+                meets.setdefault(f, []).append(h)
+            got = set(range(len(games[j].strategies)))  # every strategy, while no fibre is checked
+            for f, own in meets.items():
+                kf = tables.get((j, f))
+                if kf is None:
+                    moves = tuple([o[f // steps[m] % len(o)] for m, o in enumerate(outs) if m != j])
+                    kf = tables[(j, f)] = factor_continuation(k, j, moves, games[j].dst)
+                got &= set(rules[j](tuple(own), kf))
+                if not got:
+                    break
+            passing[(j, w)] = got
         return got
 
-    passes = {}  # s1 -> the s2, in order, at whose left contexts s1 passes
-    for s2 in range(len(g2.strategies)):
-        ok = None  # every s1, while no context is checked
-        for key in contexts(0, s2):
-            ok = states_at(key) if ok is None else ok & states_at(key)
-            if not ok:
-                break
-        for s1 in range(len(g1.strategies)) if ok is None else ok:
-            passes.setdefault(s1, []).append(s2)
-    out = []
-    for s1 in sorted(passes):
-        rights = contexts(1, s1)
-        out.extend(s1 * len(g2.strategies) + s2 for s2 in passes[s1]
-                   if all(s2 in states_at(key) for key in rights))
-    return out
+    rests = [(rest, sum(map(list.__getitem__, marks[1:], rest)))
+             for rest in itertools.product(*[range(len(g.strategies)) for g in games[1:]])]
+    passes = [[] for _ in marks[0]]  # factor 0's strategy -> the partner choices it passes
+    for r, (_, v) in enumerate(rests):
+        for s in allowed(0, v):
+            passes[s].append(r)
+    return [s * len(rests) + r for s, rs in enumerate(passes) for r in rs  # later factors in turn
+            if all(t in allowed(j, rests[r][1] + marks[0][s] - marks[j][t])
+                   for j, t in enumerate(rests[r][0], 1))]
 
 
 def product_states(games, hists, k: TotalFn, rules) -> list:

@@ -26,11 +26,11 @@ from .finite import (
     _derived_fn,
     const_fn,
     compose_fn,
+    flat_product,
     format_value,
     identity_fn,
     is_enumerable,
     probe_values,
-    product_set,
     tagged_union,
     tensor_carrier,
     total_fn,
@@ -51,8 +51,8 @@ class Diset:
 UNIT_DISET = Diset(UNIT_SET, UNIT_SET)
 
 
-def diset_tensor(a: Diset, b: Diset) -> Diset:
-    return Diset(product_set(a.forward, b.forward), tensor_carrier(a.backward, b.backward))
+def diset_tensor(*ds: Diset) -> Diset:
+    return Diset(flat_product([d.forward for d in ds]), tensor_carrier(*[d.backward for d in ds]))
 
 
 def coproduct_diset(disets) -> tuple:
@@ -181,12 +181,13 @@ class UComp(Update):
 
 
 class UTensor(Update):
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
+    """One update per factor, applied to its component of the forward and backward tuples."""
+
+    def __init__(self, *parts):
+        self.parts = parts
 
     def apply(self, x, r):
-        return (self.first.apply(x[0], r[0]), self.second.apply(x[1], r[1]))
+        return tuple([u.apply(y, q) for u, y, q in zip(self.parts, x, r)])
 
 
 class UCase(Update):
@@ -259,11 +260,12 @@ def lens_tensor(a: Lens, b: Lens) -> Lens:
     return _lens_tensor(diset_tensor(a.dom, b.dom), diset_tensor(a.cod, b.cod), a, b)
 
 
-def _lens_tensor(dom: Diset, cod: Diset, a: Lens, b: Lens) -> Lens:
-    """`lens_tensor(a, b)` onto its boundaries, built once by the caller."""
-    pairs = tuple((a.view(x), b.view(y)) for x, y in dom.forward)  # in cod.forward
-    view = _derived_fn(dom.forward, cod.forward, pairs)
-    return Lens(dom, cod, view, UTensor(a.update, b.update))
+def _lens_tensor(dom: Diset, cod: Diset, *lenses: Lens) -> Lens:
+    """The tensor of `lenses` onto its boundaries, built once by the caller: its
+    view table is the product of theirs, as `dom.forward` is of their domains."""
+    views = tuple(itertools.product(*[l.view.values for l in lenses]))  # in cod.forward
+    return Lens(dom, cod, _derived_fn(dom.forward, cod.forward, views),
+                UTensor(*[l.update for l in lenses]))
 
 
 def counit_lens(x: FiniteSet) -> Lens:
@@ -417,30 +419,32 @@ class Context:
     continuation: TotalFn
 
 
-def factor_continuation(k: TotalFn, side: int, partner_move, dst: Diset) -> TotalFn:
-    """Component `side` of `k` with the partner's move plugged in.
-
-    When `k.dom` is a product of finite sets (`flat_product` records its
-    factors) whose component `side` is `dst.forward`, the rows are read by
-    index: with the partner's move the j-th of its factor, side 0 reads
-    the stride `values[j::width]`, side 1 the block `values[j*width:(j+1)*width]`,
-    `width` being the size of the second factor.  Any other `k` is looked up.
-    Values are checked unless `k.cod` is a pair carrier or a product of
-    finite sets whose component `side` is `dst.backward`.
-    """
-    factors = k.dom.factors
-    if factors is not None and len(factors) == 2 and factors[side] == dst.forward:
-        j, width = factors[1 - side].index(partner_move), len(factors[1])
-        rows = k.values[j::width] if side == 0 else k.values[j * width:(j + 1) * width]
+def factor_continuation(k: TotalFn, side: int, partners: tuple, dst: Diset) -> TotalFn:
+    """Component `side` of `k` on the fibre its partners' moves, in order, leave.  When
+    `k.dom` is a product of finite sets (`flat_product` records them) with `dst.forward`
+    at `side`, the fibre is a strided slice of `k.values`: a partner's j-th move adds j
+    strides of its axis to the start, and axis `side`'s stride is the step.  Any other
+    `k` is looked up.  Values are checked unless `k.cod` is a pair carrier or a product
+    of finite sets with `dst.backward` at `side`."""
+    factors, n = k.dom.factors, len(partners) + 1
+    if factors is not None and len(factors) == n and factors[side] == dst.forward:
+        start, stride = 0, 1
+        for j in reversed(range(n)):
+            if j == side:
+                step = stride
+            else:
+                start += stride * factors[j].index(partners[j - (j > side)])
+            stride *= len(factors[j].elements)
+        rows = k.values[start:start + step * len(dst.forward.elements):step]
     else:
-        rows = [k((y, partner_move) if side == 0 else (partner_move, y)) for y in dst.forward]
+        rows = [k(partners[:side] + (y,) + partners[side:]) for y in dst.forward]
     try:
         vals = tuple([r[side] for r in rows])
-    except (TypeError, IndexError):  # a value that is not a pair has no component
+    except (TypeError, IndexError):  # a value that is not a tuple has no component
         raise TypeMismatch(f"continuation values outside {k.cod!r}") from None
     cod = k.cod
-    parts = (cod.fst, cod.snd) if isinstance(cod, PairCarrier) else getattr(cod, "factors", None)
-    derived = parts is not None and len(parts) == 2 and parts[side] == dst.backward
+    parts = cod.parts if isinstance(cod, PairCarrier) else getattr(cod, "factors", None)
+    derived = parts is not None and len(parts) == n and parts[side] == dst.backward
     return (_derived_fn if derived else TotalFn)(dst.forward, dst.backward, vals)
 
 
@@ -457,12 +461,12 @@ def left_context(right_play: Lens, c: Context, left_dst: Diset) -> Context:
     the joint continuation and keeps the left component of the backward pair.
     """
     h1, h2 = c.history
-    return Context(h1, factor_continuation(c.continuation, 0, right_play.view(h2), left_dst))
+    return Context(h1, factor_continuation(c.continuation, 0, (right_play.view(h2),), left_dst))
 
 
 def right_context(left_play: Lens, c: Context, right_dst: Diset) -> Context:
     h1, h2 = c.history
-    return Context(h2, factor_continuation(c.continuation, 1, left_play.view(h1), right_dst))
+    return Context(h2, factor_continuation(c.continuation, 1, (left_play.view(h1),), right_dst))
 
 
 def default_continuations(d: Diset):

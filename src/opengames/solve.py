@@ -21,7 +21,6 @@ from .expr import (
     Atom,
     GameExpr,
     Seq,
-    Tensor,
     eval_expr,
     separable_states_over,
     states_over,
@@ -33,52 +32,26 @@ from .finite import (
     TotalFn,
     _derived_fn,
     flat_product,
-    flatten_value,
 )
-from .games import copy_decision, decision
+from .games import copy_decision, decision, tensor_games
 
 
 def build_normal_form_expr(nf: NormalFormGame):
-    """A tensor of one-shot choices plus the matching payoff continuation.
-
-    The tensor associates to the left, so the composite's forward values
-    nest the same way and can be flattened back to plain profiles.
-    """
-    n = nf.players
-    if n == 0:
+    """One n-ary tensor of one-shot choices, as an atom, plus the payoff continuation:
+    `nf.payoff` is a checked table into Q^n on `flat_product(nf.choices)`, the
+    tensor's target, so each vector (q1, ..., qn) is only repacked as ((q1,), ..., (qn,))."""
+    if nf.players == 0:
         raise EmptyChoiceSet("normal-form game needs at least one player")
-    expr: GameExpr = Atom(decision(UNIT_SET, nf.choices[0]))
-    for xs in nf.choices[1:]:
-        expr = Tensor(expr, Atom(decision(UNIT_SET, xs)))
-    game = eval_expr(expr)
-
-    def pack(values):  # (q1, ..., qn) -> (((q1,), (q2,)), ..., (qn,))
-        acc = values[:1]
-        for q in values[1:]:
-            acc = (acc, (q,))
-        return acc
-
-    # `nf.payoff` is a checked table into Q^n on `flat_product(nf.choices)`,
-    # which lists profiles in the order of the nested target; `pack` only
-    # re-nests its vectors.
-    k = _derived_fn(
-        game.dst.forward,
-        game.dst.backward,
-        tuple(map(pack, nf.payoff.values)),
-    )
-    return expr, k
-
-
-def _choice_profile(profile, n):
-    """Nested strategy tuple of a choice tensor -> flat tuple of choices."""
-    flat = flatten_value(profile, n)
-    return tuple(s(UNIT) for s in flat)
+    game = tensor_games(*[decision(UNIT_SET, xs) for xs in nf.choices])
+    k = _derived_fn(game.dst.forward, game.dst.backward,  # repacked column by column
+                    tuple(zip(*map(zip, zip(*nf.payoff.values)))))
+    return Atom(game), k
 
 
 def nash_normal_form(nf: NormalFormGame):
     """Pure equilibria, computed as states of the compiled tensor."""
     expr, k = build_normal_form_expr(nf)
-    return [_choice_profile(p, nf.players) for p in states_over(expr, k)]
+    return [tuple(s(UNIT) for s in p) for p in states_over(expr, k)]
 
 
 def build_sequential_expr(sq: SequentialGame):

@@ -762,6 +762,12 @@ def test_reports_match_golden_files(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--expr", "BRANCHES", "--mode", mode])
         assert code == 0
         assert out == (GOLDEN / f"product3_{mode}.json").read_text(encoding="utf-8")
+    # Four players with 2, 3, 2 and 2 moves, solved by one n-ary tensor: three
+    # equilibria, some held by payoff ties, in canonical order.
+    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "normal_form4.og").read_text("utf-8")))
+    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])
+    assert code == 0
+    assert out == (GOLDEN / "normal_form4_nash.json").read_text(encoding="utf-8")
 
 
 def test_spe_report_matches_golden_file(capsys, monkeypatch):

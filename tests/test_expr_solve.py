@@ -32,7 +32,6 @@ from opengames.finite import (
     Payoff,
     UNIT,
     UNIT_SET,
-    flatten_value,
     format_value,
     make_set,
     total_fn,
@@ -167,6 +166,54 @@ def test_solutions_are_invariant_under_increasing_payoff_maps():
         moved = remapped(sq, sequential_game, rng)
         assert nash_sequential(moved) == nash_sequential(sq), seed
         assert [p for p, _ in spe_sequential(moved)] == [p for p, _ in spe_sequential(sq)], seed
+
+
+# The nf-nash ladder of the benchmark, as moves per player.
+LADDER = [(8, 8), (16, 16), (4, 4, 4), (3, 3, 3, 3), (2,) * 5, (4,) * 4, (3,) * 5]
+
+
+def _ladder_normal_form(rng, moves):
+    """Payoffs in 0..3, so ties are common."""
+    choices = [make_set([f"{chr(97 + i)}{j}" for j in range(m)]) for i, m in enumerate(moves)]
+    return normal_form(choices, lambda p: tuple(Q(rng.randint(0, 3)) for _ in moves))
+
+
+def test_player_permutations_permute_nash_profiles():
+    """Permuting the players, payoff coordinates included, permutes the Nash
+    profiles, which are then listed in canonical order."""
+    from opengames.classical import brute_nash
+
+    def permuted(nf, perm):  # player j of the result is player perm[j] of nf
+        back = [perm.index(m) for m in range(len(perm))]
+        return normal_form([nf.choices[m] for m in perm], lambda p: tuple(
+            nf.payoff(tuple(p[j] for j in back))[m] for m in perm))
+
+    def canonical(nf, profiles):
+        return sorted(profiles, key=lambda p: [xs.index(x) for xs, x in zip(nf.choices, p)])
+
+    rng = random.Random("permute")
+    games = [random_normal_form(random.Random(f"permute/{seed}"), max_players=4) for seed in range(200)]
+    ladder = [_ladder_normal_form(rng, moves) for moves in LADDER for _ in range(2)]
+    for nf in ladder:
+        assert nash_normal_form(nf) == brute_nash(nf)
+    for n, nf in enumerate(games + ladder):
+        perm = rng.sample(range(nf.players), nf.players)
+        want = canonical(permuted(nf, perm), [tuple(p[m] for m in perm) for p in nash_normal_form(nf)])
+        assert nash_normal_form(permuted(nf, perm)) == want, (n, perm)
+
+
+def test_one_player_and_tied_normal_forms_match_brute_force():
+    from opengames.classical import brute_nash
+
+    solo = normal_form([make_set(["a", "b", "c"])], {("a",): (Q(1),), ("b",): (Q(2),), ("c",): (Q(2),)})
+    assert nash_normal_form(solo) == brute_nash(solo) == [("b",), ("c",)]
+    flat = normal_form([MOVES, make_set(["x", "y", "z"]), MOVES], lambda p: (Q(0),) * 3)  # all tie
+    assert nash_normal_form(flat) == brute_nash(flat) == list(flat.payoff.dom)
+    rng = random.Random("ties")
+    for moves in [(1,), (3,), (2, 1), (2, 3), (3, 2, 2), (2, 2, 2, 2), (1, 3, 1, 2)] * 5:
+        choices = [make_set([f"{chr(97 + i)}{j}" for j in range(m)]) for i, m in enumerate(moves)]
+        nf = normal_form(choices, lambda p: tuple(Q(rng.randint(0, 1)) for _ in moves))
+        assert nash_normal_form(nf) == brute_nash(nf), moves
 
 
 def test_solve_sequential_modes():
@@ -363,7 +410,7 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
     hash any table, a strategy included: plays are asked by index.
 
     Each factor table is built once per state search (one continuation),
-    side and partner move.
+    side and fibre of partner moves.
     """
     import random
 
@@ -393,11 +440,11 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
 
     build = og_games.factor_continuation
 
-    def recording(k, side, move, dst):
+    def recording(k, side, partners, dst):
         seen.append(k)  # keeps each id unique while counting
-        key = (id(k), side, move)
+        key = (id(k), side, partners)
         built[key] = built.get(key, 0) + 1
-        return build(k, side, move, dst)
+        return build(k, side, partners, dst)
 
     monkeypatch.setattr(og_finite, "carrier_contains", scanning)
     monkeypatch.setattr(TotalFn, "__hash__", hashing)
@@ -405,7 +452,7 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
     profiles = states_over(expr, k)
     monkeypatch.undo()
 
-    assert [tuple(s(UNIT) for s in flatten_value(p, 5)) for p in profiles] == brute_nash(nf)
+    assert [tuple(s(UNIT) for s in p) for p in profiles] == brute_nash(nf)
     assert not scans, scans[:3]
     assert not hashed, hashed[:3]
     assert built and max(built.values()) == 1
@@ -441,7 +488,7 @@ def test_nash_states_read_payoff_tables_by_index(monkeypatch):
     monkeypatch.undo()
 
     assert not looked_up, looked_up[:3]
-    assert [tuple(s(UNIT) for s in flatten_value(p, 5)) for p in profiles] == brute_nash(nf)
+    assert [tuple(s(UNIT) for s in p) for p in profiles] == brute_nash(nf)
 
 
 def _staged(rng, moves):
@@ -573,7 +620,7 @@ def test_separable_profiles_come_in_composite_strategy_order(rng):
     def value(carrier, tie):
         if isinstance(carrier, Payoff):
             return tuple(Fraction(0 if tie else rng.randint(0, 1)) for _ in range(carrier.dim))
-        return (value(carrier.fst, tie), value(carrier.snd, tie))
+        return (value(carrier.parts[0], tie), value(carrier.parts[1], tie))
 
     for expr in (chain, split):
         game = eval_expr(expr)

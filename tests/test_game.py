@@ -23,8 +23,10 @@ from opengames.finite import (
     _derived_fn,
     _derived_set,
     format_fn,
+    flatten_value,
     format_value,
     make_set,
+    nest_value,
     total_fn,
 )
 from opengames.games import (
@@ -318,6 +320,38 @@ def test_tensor_coordination_matches_brute_force():
     assert got == [("C", "C"), ("D", "D")]
 
 
+def test_nary_tensor_agrees_with_the_left_nested_binary_tensor():
+    """`tensor_games(g1, ..., gn)` is `((g1 x g2) x ...) x gn` up to reassociation:
+    the same strategy indices, and values that nest the flat tuples to the left
+    (one factor's tensor holds 1-tuples).  States, rows, transport and reach agree
+    at random histories, on random games and on decisions with histories."""
+    rng = random.Random("n-ary tensor")
+    for trial in range(60):
+        n = trial % 4 + 1
+        if trial % 3:
+            games = [random_game(rng) for _ in range(n)]
+        else:
+            games = [decision(random_finite_set(rng, prefix=f"x{j}"),
+                              random_finite_set(rng, max_size=3, prefix=f"y{j}")) for j in range(n)]
+        flat, nested = tensor_games(*games), functools.reduce(tensor_games, games)
+        assert [nest_value(s) for s in flat.strategies] == list(nested.strategies)
+        assert [nest_value(x) for x in flat.src.forward] == list(nested.src.forward)
+        for _ in range(3):
+            k = total_fn(flat.dst.forward, flat.dst.backward,
+                         lambda y: _random_value(rng, flat.dst.backward))
+            kn = total_fn(nested.dst.forward, nested.dst.backward,
+                          lambda y: nest_value(k(flatten_value(y, n))))
+            hists = rng.sample(flat.src.forward.elements, rng.randint(1, len(flat.src.forward)))
+            nhists = [nest_value(h) for h in hists]
+            assert flat.states(hists, k) == nested.states(nhists, kn), trial
+            for h in hists:
+                assert flat.rows(h, k) == nested.rows(nest_value(h), kn), trial
+            for i in range(len(flat.strategies)):
+                assert [nest_value(r) for r in flat.transport(i, k).values] == list(
+                    nested.transport(i, kn).values), trial
+                assert [nest_value(y) for y in flat.reach(i, hists)] == nested.reach(i, nhists)
+
+
 def test_tensor_best_with_histories_matches_the_definition():
     """Many partner strategies make the same move at a history; each must still count."""
     left = decision(MOVES, MOVES)
@@ -510,7 +544,7 @@ def _random_value(rng, carrier):
         return rng.choice(carrier.elements)
     if isinstance(carrier, Payoff):
         return tuple(Fraction(rng.randint(0, 2)) for _ in range(carrier.dim))
-    return (_random_value(rng, carrier.fst), _random_value(rng, carrier.snd))
+    return tuple(_random_value(rng, c) for c in carrier.parts)
 
 
 def _random_atom(rng, src=None, dst=None, max_strategies=3):
@@ -1079,7 +1113,7 @@ def _fresh_continuation(rng, d):
         if isinstance(c, Payoff):
             return tuple(random_fraction(rng) for _ in range(c.dim))
         if isinstance(c, PairCarrier):
-            return value(c.fst), value(c.snd)
+            return value(c.parts[0]), value(c.parts[1])
         return rng.choice(c.elements)
 
     return total_fn(d.forward, d.backward, lambda _: value(d.backward))
@@ -1153,9 +1187,9 @@ def test_tensor_relation_builds_one_factor_continuation_per_partner_move(monkeyp
 
     built = []
 
-    def recording(k, side, move, dst):
-        built.append((side, move))
-        return factor_continuation(k, side, move, dst)
+    def recording(k, side, partners, dst):
+        built.append((side, *partners))
+        return factor_continuation(k, side, partners, dst)
 
     monkeypatch.setattr(og_games, "factor_continuation", recording)
     xs = make_set(["x0", "x1"])

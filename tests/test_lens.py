@@ -363,7 +363,7 @@ def _random_carrier(rng, depth=2):
 
 def _random_value(rng, carrier):
     if isinstance(carrier, PairCarrier):
-        return (_random_value(rng, carrier.fst), _random_value(rng, carrier.snd))
+        return (_random_value(rng, carrier.parts[0]), _random_value(rng, carrier.parts[1]))
     return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(carrier.dim))
 
 
@@ -371,8 +371,8 @@ def _parts(carrier, path=()):
     """(path, carrier) for a carrier and each of its components, nested ones included."""
     yield path, carrier
     if isinstance(carrier, PairCarrier):
-        yield from _parts(carrier.fst, path + (0,))
-        yield from _parts(carrier.snd, path + (1,))
+        yield from _parts(carrier.parts[0], path + (0,))
+        yield from _parts(carrier.parts[1], path + (1,))
 
 
 def _random_template(rng, src, dst):
@@ -381,7 +381,7 @@ def _random_template(rng, src, dst):
     if same and rng.random() < 0.3:
         return leaf(rng.choice(same))
     if isinstance(dst, PairCarrier):
-        return pair_t(_random_template(rng, src, dst.fst), _random_template(rng, src, dst.snd))
+        return pair_t(_random_template(rng, src, dst.parts[0]), _random_template(rng, src, dst.parts[1]))
     if rng.random() < 0.2:
         return lit(_random_value(rng, dst))
     path, part = rng.choice([(p, c) for p, c in _parts(src) if isinstance(c, Payoff)])
@@ -404,8 +404,8 @@ def _redrawn(rng, src, dst, t):
     """`t` with one part drawn again, which may or may not change the map."""
     if t[0] == "pair":
         if rng.random() < 0.5:
-            return pair_t(_redrawn(rng, src, dst.fst, t[1]), t[2])
-        return pair_t(t[1], _redrawn(rng, src, dst.snd, t[2]))
+            return pair_t(_redrawn(rng, src, dst.parts[0], t[1]), t[2])
+        return pair_t(t[1], _redrawn(rng, src, dst.parts[1], t[2]))
     return _random_template(rng, src, dst)
 
 
@@ -511,7 +511,7 @@ def test_factor_tables_read_by_index_equal_the_lookup():
                 for move in partner.forward:
                     pair = (lambda y: (y, move)) if side == 0 else (lambda y: (move, y))
                     want = tuple(k(pair(y))[side] for y in own.forward)
-                    got = factor_continuation(k, side, move, own)
+                    got = factor_continuation(k, side, (move,), own)
                     assert got == TotalFn(own.forward, own.backward, want), (m, n, side, move)
 
 
@@ -532,9 +532,9 @@ def test_factor_tables_fall_back_to_lookup_without_recorded_factors(monkeypatch)
     monkeypatch.setattr(TotalFn, "__call__", counting)
     for side, own, partner in ((0, a, b), (1, b, a)):
         for move in partner.forward:
-            by_index = factor_continuation(k, side, move, own)
+            by_index = factor_continuation(k, side, (move,), own)
             assert not calls
-            assert factor_continuation(flat, side, move, own) == by_index
+            assert factor_continuation(flat, side, (move,), own) == by_index
             assert calls.count(flat) == len(own.forward)
             calls.clear()
 
@@ -546,4 +546,4 @@ def test_factor_tables_reject_a_partner_move_outside_the_partner_set():
     for table in (k, flat):
         for side, own, stranger in ((0, a, "a0"), (1, b, "b0"), (0, a, "zz"), (1, b, [1])):
             with pytest.raises(TypeMismatch):
-                factor_continuation(table, side, stranger, own)
+                factor_continuation(table, side, (stranger,), own)

@@ -116,7 +116,7 @@ def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
         y2 = right_view(h2)
         sub = subs.get((0, y2))
         if sub is None:
-            kl = factor_continuation(k, 0, y2, gl.dst)
+            kl = factor_continuation(k, 0, (y2,), gl.dst)
             sub = subs[(0, y2)] = _separable(expr.left, kl, memo)
         if sl not in sub:
             return None
@@ -127,7 +127,7 @@ def _tensor_cert(expr, k, memo, subs, gl, gr, sl, sr):
         y1 = left_view(h1)
         sub = subs.get((1, y1))
         if sub is None:
-            kr = factor_continuation(k, 1, y1, gr.dst)
+            kr = factor_continuation(k, 1, (y1,), gr.dst)
             sub = subs[(1, y1)] = _separable(expr.right, kr, memo)
         if sr not in sub:
             return None
@@ -247,7 +247,7 @@ def _value(rng, carrier):
     if isinstance(carrier, Payoff):
         return tuple(Q(rng.randint(0, 3)) for _ in range(carrier.dim))
     if isinstance(carrier, PairCarrier):
-        return (_value(rng, carrier.fst), _value(rng, carrier.snd))
+        return (_value(rng, carrier.parts[0]), _value(rng, carrier.parts[1]))
     return rng.choice(carrier.elements)
 
 
@@ -315,7 +315,7 @@ def _check_witness(expr, profile, cert, k):
             assert [h for h, _ in listed] == (list(partner.src.forward) if joint else [])
             view = partner.play(partner.strategies.index(profile[1 - side])).view
             for h, c in listed:
-                kf = factor_continuation(k, side, view(h), own.dst)
+                kf = factor_continuation(k, side, (view(h),), own.dst)
                 _check_witness(parts[side], profile[side], c, kf)
     else:
         assert isinstance(cert, CertProduct)
