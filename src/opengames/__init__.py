@@ -55,12 +55,11 @@ from .finite import (
     TotalFn,
     UNIT,
     UNIT_SET,
-    coproduct_set,
     flat_product,
     format_value,
     make_set,
     nested_product,
-    product_set,
+    tagged_union,
     total_fn,
 )
 from .games import (

@@ -53,14 +53,14 @@ from .finite import (
     Payoff,
     Tag,
     carrier_contains,
-    coproduct_set,
+    flat_product,
     flatten_value,
     format_value,
     inj_name,
     make_set,
     nest_value,
     nested_product,
-    product_set,
+    tagged_union,
     total_fn,
 )
 from .games import copy_decision, decision, trivial_game, unit_game, utility_game
@@ -162,13 +162,6 @@ def format_sexpr(node: SExpr) -> str:
 
 def format_document(nodes) -> str:
     return "".join(format_sexpr(n) + "\n" for n in nodes)
-
-
-def skeleton(node: SExpr):
-    """The tree with positions stripped, for structural comparison."""
-    if node.is_atom:
-        return node.atom
-    return tuple(skeleton(i) for i in node.items)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +384,8 @@ class _Analyzer:
                 raise _err(items[2], f"expected ({body[0].atom} A B)")
             a = self._lookup(body[1], "set")
             b = self._lookup(body[2], "set")
-            build = coproduct_set if body[0].atom == "sum" else product_set
-            value = self._engine(items[2], build, a, b)
+            build = tagged_union if body[0].atom == "sum" else flat_product
+            value = self._engine(items[2], build, [a, b])
         else:
             for e in body:
                 text = _need_atom(e, "an element name")

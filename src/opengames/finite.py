@@ -135,21 +135,8 @@ def make_set(values) -> FiniteSet:
 UNIT_SET = make_set([UNIT])
 
 
-def unit_set() -> FiniteSet:
-    return UNIT_SET
-
-
-def product_set(a: FiniteSet, b: FiniteSet) -> FiniteSet:
-    """Pairs of elements, a-major lexicographic order."""
-    return flat_product([a, b])
-
-
-def coproduct_set(a: FiniteSet, b: FiniteSet) -> FiniteSet:
-    """Tagged disjoint union: all of a under inl, then all of b under inr."""
-    return tagged_union([a, b])
-
-
 def tagged_union(sets) -> FiniteSet:
+    """Tagged disjoint union: all of the first set under inl, then the next under inr, ..."""
     out = []
     for j, s in enumerate(sets):
         out.extend(Tag(j, v) for v in s)
@@ -176,10 +163,10 @@ def nested_product(sets) -> FiniteSet:
     """Left-nested product: 0-ary is the unit set, 1-ary is the set itself."""
     sets = list(sets)
     if not sets:
-        return unit_set()
+        return UNIT_SET
     acc = sets[0]
     for s in sets[1:]:
-        acc = product_set(acc, s)
+        acc = flat_product([acc, s])
     return acc
 
 
@@ -350,7 +337,7 @@ class TotalFn:
         return self.values[i]
 
     def __repr__(self):
-        return format_fn(self)
+        return format_value(self)
 
 
 def _derived_fn(dom: FiniteSet, cod, values: tuple) -> TotalFn:
@@ -424,10 +411,6 @@ def format_value(v) -> str:
         else:
             out.append("*" if v is UNIT else str(v))
     return "".join(out)
-
-
-def format_fn(f: TotalFn) -> str:
-    return format_value(f)
 
 
 def value_to_json(v):

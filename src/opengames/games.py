@@ -81,7 +81,6 @@ from .finite import (
     enumerate_functions,
     flat_product,
     nested_product,
-    product_set,
 )
 from .lenses import (
     Context,
@@ -442,7 +441,7 @@ def seq_compose(g: OpenGame, h: OpenGame) -> OpenGame:
     """Play g, then h; strategy pairs (sigma_g, sigma_h)."""
     if g.dst != h.src:
         raise TypeMismatch(f"cannot sequence: {g.dst!r} vs {h.src!r}")
-    strategies = product_set(g.strategies, h.strategies)
+    strategies = flat_product([g.strategies, h.strategies])
     width = len(h.strategies)  # pair (s, t) is index s * width + t
 
     def play(i):
@@ -629,15 +628,6 @@ def product_states(games, hists, k: TotalFn, rules) -> list:
     return list(map(sum, itertools.product(*per_child)))
 
 
-def reindex_source(g: OpenGame, lens: Lens) -> OpenGame:
-    """Pull the source boundary back along a lens into g's source."""
-    if lens.cod != g.src:
-        raise TypeMismatch("reindexing lens must land in the source boundary")
-    return OpenGame(lens.dom, g.dst, g.strategies, lambda i: lens_compose(lens, g.play(i)),
-                    lambda h, k, memo: g.rows(lens.view(h), k, memo),
-                    label=g.label, trivial=g.trivial)
-
-
 def reindex_target(g: OpenGame, lens: Lens) -> OpenGame:
     """Push the target boundary forward along a lens out of g's target."""
     if lens.dom != g.dst:
@@ -678,7 +668,7 @@ def copy_decision_composite(sets) -> OpenGame:
     pass_d = Diset(UNIT_SET, qprev)
 
     intro = _rearrange_lens(Diset(hist, qprev), diset_tensor(hist_d, pass_d), _PAD_RIGHT, leaf([1]))
-    dup = _rearrange_lens(hist_d, Diset(product_set(hist, hist), UNIT_SET),
+    dup = _rearrange_lens(hist_d, Diset(flat_product([hist, hist]), UNIT_SET),
                           pair_t(leaf(), leaf()), lit(UNIT))
     stage_copy = tensor_games(trivial_game(dup, label="copy"), unit_game(pass_d))
     shuffle = _rearrange_lens(stage_copy.dst, diset_tensor(hist_d, diset_tensor(hist_d, pass_d)),

@@ -232,9 +232,6 @@ class Lens:
         self.view = view
         self.update = update
 
-    def update_at(self, x, r):
-        return self.update.apply(x, r)
-
     def __repr__(self):
         return f"Lens({self.dom!r} -> {self.cod!r})"
 
@@ -274,17 +271,6 @@ def counit_lens(x: FiniteSet) -> Lens:
     return Lens(Diset(x, x), UNIT_DISET, view, UTable({(v, UNIT): v for v in x}))
 
 
-def cartesian_lift(f: TotalFn, backward) -> Lens:
-    """Lift a forward function to a lens that passes the backward value through."""
-    return Lens(Diset(f.dom, backward), Diset(f.cod, backward), f, USecond(leaf()))
-
-
-def point_lens(d: Diset, h) -> Lens:
-    """The state I -> d selecting history h."""
-    view = const_fn(UNIT_SET, d.forward, h)
-    return Lens(UNIT_DISET, d, view, USecond(lit(UNIT)))
-
-
 def effect_lens(d: Diset, k: TotalFn) -> Lens:
     """The costate d -> I induced by a continuation."""
     if k.dom != d.forward:
@@ -293,16 +279,10 @@ def effect_lens(d: Diset, k: TotalFn) -> Lens:
     return Lens(d, UNIT_DISET, view, UTable({(x, UNIT): k(x) for x in d.forward}))
 
 
-def lens_to_point(l: Lens):
-    if l.dom != UNIT_DISET:
-        raise TypeMismatch("not a point lens")
-    return l.view(UNIT)
-
-
 def lens_to_continuation(l: Lens) -> TotalFn:
     if l.cod != UNIT_DISET:
         raise TypeMismatch("not an effect lens")
-    return total_fn(l.dom.forward, l.dom.backward, lambda x: l.update_at(x, UNIT))
+    return total_fn(l.dom.forward, l.dom.backward, lambda x: l.update.apply(x, UNIT))
 
 
 def apply_continuation(l: Lens, k: TotalFn) -> TotalFn:
@@ -315,7 +295,7 @@ def apply_continuation(l: Lens, k: TotalFn) -> TotalFn:
         return k
     if k.dom != l.cod.forward:
         raise TypeMismatch("continuation does not match lens codomain")
-    return total_fn(l.dom.forward, l.dom.backward, lambda x: l.update_at(x, k(l.view(x))))
+    return total_fn(l.dom.forward, l.dom.backward, lambda x: l.update.apply(x, k(l.view(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +381,7 @@ def lenses_equal(a: Lens, b: Lens) -> bool:
     rs = _update_samples(a)
     for x in a.dom.forward:
         for r in rs:
-            if a.update_at(x, r) != b.update_at(x, r):
+            if a.update.apply(x, r) != b.update.apply(x, r):
                 return False
     return True
 

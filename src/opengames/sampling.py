@@ -1,4 +1,4 @@
-"""Seeded generators for sets, lenses, games and payoff tables.
+"""Seeded generators for sets, lenses, continuations and games.
 
 Everything here is driven by a caller-supplied `random.Random`, and any
 "arbitrary" choice that must be stable across runs (like a synthetic
@@ -9,29 +9,14 @@ so the same seed always reproduces the same objects and answers.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
-from .classical import NormalFormGame, SequentialGame, normal_form, sequential_game
 from .errors import EmptyChoiceSet
-from .finite import (
-    FiniteSet,
-    TotalFn,
-    flat_product,
-    format_fn,
-    format_value,
-    make_set,
-)
+from .finite import FiniteSet, TotalFn, format_value, make_set
 from .games import OpenGame
-from .lenses import Diset, Lens, UTable, default_continuations
+from .lenses import Diset, Lens, UTable
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def random_fraction(rng) -> Fraction:
-    """A rational in [-5, 5] with denominator at most 4."""
-    den = rng.randint(1, 4)
-    return Fraction(rng.randint(-5 * den, 5 * den), den)
 
 
 def random_finite_set(rng, max_size=2, prefix=None) -> FiniteSet:
@@ -76,14 +61,6 @@ def random_continuation(rng, d: Diset) -> TotalFn:
     return random_total_fn(rng, d.forward, d.backward)
 
 
-def sample_continuations(rng, d: Diset, count: int):
-    """Up to `count` distinct continuations on a diset, without replacement."""
-    pool = default_continuations(d)
-    if len(pool) <= count:
-        return pool
-    return rng.sample(pool, count)
-
-
 def _digest_even(*parts) -> bool:
     h = hashlib.md5("|".join(parts).encode()).hexdigest()
     return int(h, 16) % 2 == 0
@@ -120,7 +97,7 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
     else:
 
         def relation(h, k, memo):
-            at = (label, format_value(h), format_fn(k))
+            at = (label, format_value(h), format_value(k))
             return tuple(
                 sum(1 << j for j, d in enumerate(strategies)
                     if _digest_even(*at, format_value(s), format_value(d)))
@@ -129,38 +106,3 @@ def random_game(rng, src: Diset = None, dst: Diset = None, max_strategies=3,
 
     return OpenGame(src, dst, strategies, plays.__getitem__, relation, label)
 
-
-def random_shared_boundary_games(rng, count: int, max_strategies=3, max_size=2,
-                                 kind="argmax"):
-    """Games drawn over per-child forward sets but one shared backward pair."""
-    s_carrier = random_finite_set(rng, max_size, prefix="s")
-    r_carrier = random_finite_set(rng, max_size, prefix="r")
-    out = []
-    for j in range(count):
-        src = Diset(random_finite_set(rng, max_size, prefix=f"x{j}"), s_carrier)
-        dst = Diset(random_finite_set(rng, max_size, prefix=f"y{j}"), r_carrier)
-        out.append(random_game(rng, src, dst, max_strategies, kind=kind,
-                               label=f"factor-{j}"))
-    return out
-
-
-def _random_classical(rng, build, max_players, max_choices):
-    """`build(choices, payoff)` over random choice sets and a random payoff table."""
-    n = rng.randint(1, max_players)
-    choices = [
-        make_set(tuple(f"{_LETTERS[i]}{j}" for j in range(rng.randint(1, max_choices))))
-        for i in range(n)
-    ]
-    table = {
-        profile: tuple(random_fraction(rng) for _ in range(n))
-        for profile in flat_product(choices)
-    }
-    return build(choices, table)
-
-
-def random_normal_form(rng, max_players=3, max_choices=3) -> NormalFormGame:
-    return _random_classical(rng, normal_form, max_players, max_choices)
-
-
-def random_sequential(rng, max_players=3, max_choices=2) -> SequentialGame:
-    return _random_classical(rng, sequential_game, max_players, max_choices)

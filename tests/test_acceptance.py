@@ -84,15 +84,14 @@ from opengames.morphisms import (
     vcompose,
     StateCert,
 )
-from opengames.sampling import (
-    random_game,
+from opengames.sampling import random_game, random_total_fn
+from opengames.solve import nash_normal_form, nash_sequential, spe_sequential
+from helpers import (
     random_normal_form,
     random_sequential,
     random_shared_boundary_games,
-    random_total_fn,
     sample_continuations,
 )
-from opengames.solve import nash_normal_form, nash_sequential, spe_sequential
 
 
 def criterion(n, note):
@@ -150,8 +149,8 @@ def test_c1_market_entry():
     # mover: 0 for staying out, 3 for entering against accommodation.
     branches = eval_expr(doc.names["BRANCHES"][1])
     mediator = branches.play(branches.strategies.index(profile[1]))
-    assert mediator.update_at(Tag(0, UNIT), UNIT) == (Fraction(0),)
-    assert mediator.update_at(Tag(1, UNIT), UNIT) == (Fraction(3),)
+    assert mediator.update.apply(Tag(0, UNIT), UNIT) == (Fraction(0),)
+    assert mediator.update.apply(Tag(1, UNIT), UNIT) == (Fraction(3),)
 
     assert time.perf_counter() - started < 1.0
 

@@ -36,7 +36,8 @@ from opengames.morphisms import (
     tensor_morphisms,
     vcompose,
 )
-from opengames.sampling import random_diset, random_game, sample_continuations
+from opengames.sampling import random_diset, random_game
+from helpers import sample_continuations
 
 D21 = lambda tag: Diset(make_set([f"{tag}0", f"{tag}1"]), UNIT_SET)
 D22 = lambda tag: Diset(make_set([f"{tag}0", f"{tag}1"]), make_set([f"{tag}r", f"{tag}s"]))

@@ -23,7 +23,7 @@ from opengames.classical import (
 )
 from opengames.errors import MalformedInfoSet, TypeMismatch
 from opengames.finite import Payoff, make_set, total_fn
-from opengames.sampling import random_sequential
+from helpers import random_sequential
 
 Q = Fraction
 MOVES = make_set(["C", "D"])

@@ -21,7 +21,6 @@ from opengames.dsl import (
     format_sexpr,
     parse_document,
     parse_sexprs,
-    skeleton,
     tokenize,
 )
 from opengames.errors import (
@@ -42,6 +41,8 @@ from opengames.lenses import (
     unassoc_lens,
 )
 from opengames.solve import SOLVERS, nash_normal_form, solve
+import goldens
+from helpers import skeleton
 
 PD_DOC = """\
 (set MOVE (C D))
@@ -743,94 +744,12 @@ def test_demo_subcommand(capsys):
     assert len(report["witnesses"]) == 1
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def test_reports_match_golden_files(capsys, monkeypatch):
-    """Reports are pinned byte for byte across commits, not only across runs."""
-    code, out, _ = run_cli(capsys, ["demo"])
-    assert code == 0
-    assert out == (GOLDEN / "demo.json").read_text(encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", io.StringIO(bundled_document_text()))
-    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "separable"])
-    assert code == 0
-    assert out == (GOLDEN / "market_separable.json").read_text(encoding="utf-8")
-    # A product of three children, one of them a tensor inside a seq: profiles
-    # and certificates split an index into three mixed-radix digits.
-    for mode in ("states", "separable"):
-        monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "product3.og").read_text("utf-8")))
-        code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--expr", "BRANCHES", "--mode", mode])
-        assert code == 0
-        assert out == (GOLDEN / f"product3_{mode}.json").read_text(encoding="utf-8")
-    # Four players with 2, 3, 2 and 2 moves, solved by one n-ary tensor: three
-    # equilibria, some held by payoff ties, in canonical order.
-    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "normal_form4.og").read_text("utf-8")))
-    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])
-    assert code == 0
-    assert out == (GOLDEN / "normal_form4_nash.json").read_text(encoding="utf-8")
-
-
-def test_spe_report_matches_golden_file(capsys, monkeypatch):
-    """Subgame-perfect witnesses of a three-stage sequential document, pinned byte for byte."""
-    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "three_stage.og").read_text("utf-8")))
-    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "spe"])
-    assert code == 0
-    assert out == (GOLDEN / "three_stage_spe.json").read_text(encoding="utf-8")
-
-
-def test_nash_report_matches_golden_file(capsys, monkeypatch):
-    """Nash profiles of the same three-stage sequential document, pinned byte for byte."""
-    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "three_stage.og").read_text("utf-8")))
-    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])
-    assert code == 0
-    assert out == (GOLDEN / "three_stage_nash.json").read_text(encoding="utf-8")
-
-
-def test_normal_form_report_matches_golden_file(capsys, monkeypatch):
-    """Nash profiles of a three-player normal form with tied payoffs, pinned byte for
-    byte: the order in which the tensor states join emits its pairs."""
-    monkeypatch.setattr("sys.stdin", io.StringIO((GOLDEN / "normal_form.og").read_text("utf-8")))
-    code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", "nash"])
-    assert code == 0
-    assert out == (GOLDEN / "normal_form_nash.json").read_text(encoding="utf-8")
-
-
-def test_market_tree_reports_match_golden_files(capsys, monkeypatch):
-    """The extensive entries of the solve dispatch, pinned on MARKET-TREE byte for byte."""
-    for mode in ("nash", "spe"):
-        monkeypatch.setattr("sys.stdin", io.StringIO(bundled_document_text()))
-        code, out, _ = run_cli(capsys, ["solve", "--input", "-", "--mode", mode])
-        assert code == 0
-        assert out == (GOLDEN / f"market_tree_{mode}.json").read_text(encoding="utf-8")
-
-
-def test_parse_reports_match_golden_files(capsys, monkeypatch):
-    """`og parse` of the market document, json and text, pinned byte for byte."""
-    for argv, golden in ((["parse", "--input", "-"], "market_parse.json"),
-                         (["parse", "--input", "-", "--format", "text"], "market_parse.og")):
-        monkeypatch.setattr("sys.stdin", io.StringIO(bundled_document_text()))
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
-
-
-def test_laws_report_matches_golden_file(capsys):
-    """`og laws --trials 5 --seed 42`, the run CI diffs on every Python version,
-    pinned byte for byte."""
-    code, out, _ = run_cli(capsys, ["laws", "--trials", "5", "--seed", "42"])
-    assert code == 0
-    assert out == (GOLDEN / "laws_seed42.json").read_text(encoding="utf-8")
-
-
-def test_parse_errors_match_golden_file(capsys, monkeypatch):
-    """Stderr and exit code of `og parse` on each broken input, in the layout of
-    CI's shell loop: the file name, what `og` wrote, then `exit N`."""
-    lines = []
-    for path in sorted((GOLDEN / "broken").glob("*.og")):
-        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_bytes().decode("utf-8")))
-        code, out, err = run_cli(capsys, ["parse", "--input", "-"])
-        lines.append(f"{path.name}\n{out}{err}exit {code}\n")
-    assert "".join(lines) == (GOLDEN / "parse_errors.txt").read_text(encoding="utf-8")
+@pytest.mark.parametrize("doc, argv, golden", goldens.PINNED,
+                         ids=[golden for _, _, golden in goldens.PINNED])
+def test_pinned_reports_match_their_goldens(doc, argv, golden):
+    """Reports are pinned byte for byte across commits, not only across runs;
+    `tests/goldens.py` lists the runs, and CI diffs the same list."""
+    assert goldens.diff(doc, argv, golden, goldens.in_process, "in-process") == []
 
 
 def test_parse_subcommand_json_and_text(tmp_path, capsys):

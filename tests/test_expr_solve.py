@@ -37,7 +37,6 @@ from opengames.finite import (
     total_fn,
 )
 from opengames.games import copy_decision, decision
-from opengames.sampling import random_normal_form, random_sequential
 from opengames.solve import (
     build_sequential_expr,
     nash_normal_form,
@@ -45,6 +44,7 @@ from opengames.solve import (
     solve,
     spe_sequential,
 )
+from helpers import random_normal_form, random_sequential
 
 MOVES = make_set(["C", "D"])
 Q = Fraction
@@ -333,7 +333,7 @@ def test_factor_continuations_are_built_once(rng, monkeypatch):
     import opengames.expr as og_expr
     import opengames.games as og_games
     from opengames.classical import brute_nash
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
 
     built = []
     build = og_games.factor_continuation
@@ -385,7 +385,7 @@ def test_nash_never_tests_a_composite_best_response(rng, monkeypatch):
     """Composite states come from their parts' states, not from `best`."""
     import opengames.games as og_games
     from opengames.classical import brute_nash
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
 
     calls = {}
     best = og_games.OpenGame.best
@@ -418,7 +418,7 @@ def test_nash_states_derive_factor_tables_without_scans_or_hashes(monkeypatch):
     import opengames.games as og_games
     from opengames.classical import brute_nash
     from opengames.finite import TotalFn
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
     from opengames.solve import build_normal_form_expr
 
     rng = random.Random(5)
@@ -466,7 +466,7 @@ def test_nash_states_read_payoff_tables_by_index(monkeypatch):
 
     from opengames.classical import brute_nash
     from opengames.finite import FiniteSet, TotalFn
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
     from opengames.solve import build_normal_form_expr
 
     rng = random.Random(17)
@@ -492,7 +492,7 @@ def test_nash_states_read_payoff_tables_by_index(monkeypatch):
 
 
 def _staged(rng, moves):
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
 
     sets = [make_set([f"{'abc'[i]}{j}" for j in range(m)]) for i, m in enumerate(moves)]
     table = {p: tuple(random_fraction(rng) for _ in moves) for p in product(*sets)}

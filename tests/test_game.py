@@ -22,7 +22,6 @@ from opengames.finite import (
     UNIT_SET,
     _derived_fn,
     _derived_set,
-    format_fn,
     flatten_value,
     format_value,
     make_set,
@@ -38,7 +37,6 @@ from opengames.games import (
     decision,
     game_states,
     product_games,
-    reindex_source,
     reindex_strategies,
     reindex_target,
     seq_compose,
@@ -197,7 +195,7 @@ def test_decision_play_lens():
     flip = total_fn(MOVES, MOVES, {"C": "D", "D": "C"})
     lens = g.play(g.strategies.index(flip))
     assert lens.view == flip
-    assert lens.update_at("C", Q(7)) == UNIT
+    assert lens.update.apply("C", Q(7)) == UNIT
 
 
 def test_decision_best_ignores_current_strategy_argument():
@@ -224,7 +222,7 @@ def test_copy_decision_boundaries_and_play():
     copycat = total_fn(MOVES, MOVES, {"C": "C", "D": "D"})
     lens = g.play(g.strategies.index(copycat))
     assert lens.view("C") == ("C", "C")
-    assert lens.update_at("D", (Fraction(5), Fraction(6))) == (Fraction(5),)
+    assert lens.update.apply("D", (Fraction(5), Fraction(6))) == (Fraction(5),)
 
 
 def test_copy_decision_single_stage_is_plain_view():
@@ -268,7 +266,7 @@ def test_utility_game_closes_the_boundary():
     g = utility_game(payout)
     lens = g.play(0)
     assert lens.cod.forward == UNIT_SET
-    assert lens.update_at("D", UNIT) == Q(2)
+    assert lens.update.apply("D", UNIT) == Q(2)
 
 
 # ---------- composition ----------
@@ -438,7 +436,7 @@ def _atom_best(g, kind):
     else:
 
         def best(h, k, s, d):
-            text = "|".join((g.label, format_value(h), format_fn(k), format_value(s), format_value(d)))
+            text = "|".join((g.label, format_value(h), format_value(k), format_value(s), format_value(d)))
             return int(hashlib.md5(text.encode()).hexdigest(), 16) % 2 == 0
 
     return functools.cache(best)
@@ -518,9 +516,10 @@ def _product(children):
     return product_games(games), _product_best(games, bests)
 
 
-def _reindex_source(pair, lens):
+def _pull_source(pair, lens):
+    """`pair` behind a trivial game on `lens`, so its source is pulled back along the lens."""
     g, gb = pair
-    return reindex_source(g, lens), lambda h, k, s, d: gb(lens.view(h), k, s, d)
+    return seq_compose(trivial_game(lens), g), lambda h, k, s, d: gb(lens.view(h), k, s[1], d[1])
 
 
 def _reindex_target(pair, lens):
@@ -595,8 +594,8 @@ def _decision_composites(rng):
     subset = total_fn(
         make_set(range(4)), pair[0].strategies, lambda _: rng.choice(pair[0].strategies.elements)
     )
-    moved = _reindex_source(_decision(xs, zs), random_lens(rng, Diset(zs, UNIT_SET),
-                                                           Diset(xs, UNIT_SET)))
+    moved = _pull_source(_decision(xs, zs), random_lens(rng, Diset(zs, UNIT_SET),
+                                                        Diset(xs, UNIT_SET)))
     return [
         _decision(xs, zs),
         _copy_decision([ys, zs, ys]),
@@ -670,7 +669,7 @@ def test_the_engine_reads_composite_strategy_sets_only_by_size(monkeypatch):
     from opengames.cli import bundled_document_text
     from opengames.dsl import parse_document
     from opengames.expr import Atom, Product, Seq, Tensor, eval_expr
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
     from opengames.solve import build_normal_form_expr, build_sequential_expr
 
     rng = random.Random(11)
@@ -755,9 +754,10 @@ def _tree_leaf(rng, src, dst, seen):
 
 
 def _fit(rng, pair, trivial, src, dst):
-    """Reindex a game onto the boundaries asked for, when they are fixed."""
+    """Fit a game onto the boundaries asked for, when they are fixed: a lens
+    game in front of it for the source, a reindexing of its target."""
     if src is not None and pair[0].src != src:
-        pair = _reindex_source(pair, random_lens(rng, src, pair[0].src))
+        pair = _pull_source(pair, random_lens(rng, src, pair[0].src))
     if dst is not None and pair[0].dst != dst:
         pair = _reindex_target(pair, random_lens(rng, pair[0].dst, dst))
     return pair, trivial
@@ -767,7 +767,8 @@ def _random_tree(rng, depth, seen, src=None, dst=None):
     """A random game tree with its reference best response and expected `trivial` flag.
 
     Leaves are random atoms, one-strategy random games and unit or trivial
-    games; inner nodes are seq, tensor, product and the three reindexings.
+    games; inner nodes are seq, tensor, product and strategy reindexing, and
+    `_fit` fits a tensor or product onto the boundaries asked for.
     A tree is trivial exactly when it is built from unit and trivial games
     by seq, tensor, product and reindexing of its boundaries.
     """
@@ -872,16 +873,13 @@ def test_responses_are_rows_of_the_relation():
 
 
 def _random_reindexed(rng, depth):
-    """A random composite reindexed along its source, target or strategies.
+    """A random composite reindexed along its target or strategies.
 
     The reindexed game sits alone, before an atom or after one, so seq
     transports through a game without a transport of its own.
     """
     g, _ = _random_composite(rng, depth)
-    op = rng.choice(["source", "target", "strategies"])
-    if op == "source":
-        g = reindex_source(g, random_lens(rng, random_diset(rng), g.src))
-    elif op == "target":
+    if rng.choice(["target", "strategies"]) == "target":
         g = reindex_target(g, random_lens(rng, g.dst, random_diset(rng)))
     else:
         picks = total_fn(
@@ -1107,7 +1105,7 @@ def _long_lived_games():
 
 def _fresh_continuation(rng, d):
     """A continuation on `d` whose payoffs are drawn afresh."""
-    from opengames.sampling import random_fraction
+    from helpers import random_fraction
 
     def value(c):
         if isinstance(c, Payoff):
@@ -1255,11 +1253,6 @@ def test_reindex_strategies_restricts_the_search():
 
 def test_reindex_boundaries_compose_with_play():
     g = decision(MOVES, MOVES)
-    lens = lens_identity(g.src)
-    h = reindex_source(g, lens)
-    assert h.play(0).view("C") == g.play(0).view("C")
-    with pytest.raises(TypeMismatch):
-        reindex_source(g, lens_identity(g.dst))
     out = runit_inv_lens(Diset(MOVES, Payoff(1)))
     assert out.dom == g.dst
     t = reindex_target(g, out)

@@ -35,13 +35,11 @@ from opengames.lenses import (
     lens_identity,
     lens_tensor,
     lens_to_continuation,
-    lens_to_point,
     lenses_equal,
     lit,
     lunit_inv_lens,
     lunit_lens,
     pair_t,
-    point_lens,
     right_context,
     runit_inv_lens,
     runit_lens,
@@ -195,15 +193,7 @@ def test_hexagon(rng):
         assert lenses_equal(one, other)
 
 
-# ---------- points, effects, counit ----------
-
-
-def test_point_round_trip():
-    d = Diset(make_set(["h1", "h2"]), UNIT_SET)
-    p = point_lens(d, "h2")
-    assert lens_to_point(p) == "h2"
-    with pytest.raises(TypeMismatch):
-        lens_to_point(lens_identity(d))
+# ---------- effects, counit ----------
 
 
 def test_effect_round_trip():
@@ -218,7 +208,7 @@ def test_counit_reflects_forward_value():
     x = make_set(["a", "b"])
     c = counit_lens(x)
     assert c.cod == UNIT_DISET
-    assert c.update_at("b", UNIT) == "b"
+    assert c.update.apply("b", UNIT) == "b"
     assert lens_to_continuation(c)("a") == "a"
 
 
@@ -428,7 +418,7 @@ def test_probes_tell_template_updates_apart():
         ])()
         a, b = (Lens(Diset(x, dst), Diset(x, src), identity_fn(x), USecond(s)) for s in (t, u))
         samples = [_random_value(rng, src) for _ in range(30)]
-        agree = all(a.update_at("x", r) == b.update_at("x", r) for r in samples)
+        agree = all(a.update.apply("x", r) == b.update.apply("x", r) for r in samples)
         assert lenses_equal(a, b) == agree, (src, dst, t, u)
         verdicts.append(agree)
     assert 50 < sum(verdicts) < 250

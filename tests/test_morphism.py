@@ -24,11 +24,13 @@ from opengames.games import (
 )
 from opengames.lenses import (
     Diset,
+    Lens,
     UNIT_DISET,
+    USecond,
     apply_continuation,
-    cartesian_lift,
     default_continuations,
     effect_lens,
+    leaf,
     lens_compose,
     lens_identity,
     lenses_equal,
@@ -67,7 +69,7 @@ def relabel_morphism():
     g = decision(UNIT_SET, MOVES)
     g2 = decision(UNIT_SET, XY)
     back = total_fn(XY, MOVES, {"X": "C", "Y": "D"})
-    t = cartesian_lift(back, Payoff(1))
+    t = Lens(Diset(XY, Payoff(1)), Diset(MOVES, Payoff(1)), back, USecond(leaf()))
     sigma = total_fn(
         g.strategies, g2.strategies, lambda s: const_strategy(g2, {"C": "X", "D": "Y"}[s(UNIT)])
     )
@@ -90,12 +92,11 @@ def test_relabeling_is_a_morphism():
 
 
 def test_axiom_one_failure_carries_a_witness():
-    g, g2, _ = relabel_morphism()
-    back = total_fn(XY, MOVES, {"X": "C", "Y": "D"})
+    g, g2, relabel = relabel_morphism()
     crossed = total_fn(
         g.strategies, g2.strategies, lambda s: const_strategy(g2, {"C": "Y", "D": "X"}[s(UNIT)])
     )
-    m = GameMorphism(g, g2, lens_identity(UNIT_DISET), cartesian_lift(back, Payoff(1)), crossed)
+    m = GameMorphism(g, g2, relabel.s_lens, relabel.t_lens, crossed)
     report = check_morphism(m)
     assert not report.ok
     assert report.axiom == 1

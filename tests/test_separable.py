@@ -31,8 +31,8 @@ from opengames.expr import (
 from opengames.finite import Payoff, PairCarrier, Tag, make_set, total_fn
 from opengames.games import copy_decision, decision, game_states
 from opengames.lenses import branch_continuation, factor_continuation
-from opengames.sampling import random_sequential
 from opengames.solve import build_sequential_expr
+from helpers import random_sequential
 
 MOVES = make_set(["C", "D"])
 Q = Fraction

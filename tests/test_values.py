@@ -16,11 +16,9 @@ from opengames.finite import (
     UNIT_SET,
     carrier_contains,
     compose_fn,
-    coproduct_set,
     enumerate_functions,
     flat_product,
     flatten_value,
-    format_fn,
     format_value,
     identity_fn,
     is_enumerable,
@@ -28,10 +26,9 @@ from opengames.finite import (
     nest_value,
     nested_product,
     probe_values,
-    product_set,
+    tagged_union,
     tensor_carrier,
     total_fn,
-    unit_set,
     value_to_json,
 )
 
@@ -51,12 +48,12 @@ def test_set_keeps_declaration_order():
 
 
 def test_product_set_varies_second_component_fastest():
-    p = product_set(make_set([0, 1]), make_set(["x", "y"]))
+    p = flat_product([make_set([0, 1]), make_set(["x", "y"])])
     assert list(p) == [(0, "x"), (0, "y"), (1, "x"), (1, "y")]
 
 
 def test_coproduct_set_tags_and_rendering():
-    c = coproduct_set(make_set(["a"]), make_set(["a", "b"]))
+    c = tagged_union([make_set(["a"]), make_set(["a", "b"])])
     assert list(c) == [Tag(0, "a"), Tag(1, "a"), Tag(1, "b")]
     assert format_value(Tag(0, "a")) == "inl(a)"
     assert format_value(Tag(1, "b")) == "inr(b)"
@@ -69,7 +66,7 @@ def test_flat_product_of_nothing_is_the_empty_tuple():
 def test_nested_product_conventions():
     a = make_set([1, 2])
     b = make_set(["x"])
-    assert nested_product([]) == unit_set()
+    assert nested_product([]) == UNIT_SET
     assert nested_product([a]) == a
     assert list(nested_product([a, b])) == [(1, "x"), (2, "x")]
     assert list(nested_product([a, b, a])) == [
@@ -97,7 +94,7 @@ def test_nest_value_edge_shapes():
 def test_tensor_carrier_collapses_finite_pairs():
     a = make_set([0, 1])
     b = make_set(["u"])
-    assert tensor_carrier(a, b) == product_set(a, b)
+    assert tensor_carrier(a, b) == flat_product([a, b])
     mixed = tensor_carrier(Payoff(1), b)
     assert isinstance(mixed, PairCarrier)
     assert carrier_contains(mixed, ((Fraction(2),), "u"))
@@ -127,7 +124,7 @@ def test_probe_values_cover_pair_and_sum():
     a = make_set(["x"])
     pc = PairCarrier(a, Payoff(1))
     assert all(carrier_contains(pc, v) for v in probe_values(pc))
-    sc = coproduct_set(a, make_set(["y"]))
+    sc = tagged_union([a, make_set(["y"])])
     assert all(carrier_contains(sc, v) for v in probe_values(sc))
 
 
@@ -212,7 +209,7 @@ def test_format_value_cases():
     k = total_fn(UNIT_SET, make_set(["z"]), lambda _: "z")
     assert format_value(k) == "z"
     two = total_fn(make_set([0, 1]), make_set(["z", "w"]), {0: "w", 1: "z"})
-    assert format_fn(two) == "[0->w, 1->z]"
+    assert format_value(two) == "[0->w, 1->z]"
 
 
 def test_value_to_json_shapes():
@@ -248,7 +245,7 @@ def test_values_nested_past_the_recursion_limit_render():
         opens.append(head)
         closes.append(tail)
     text = "".join(reversed(opens)) + "a" + "".join(closes)
-    assert format_value(value) == format_fn(value) == text
+    assert format_value(value) == text
     assert value_to_json((value, 0)) == [text, "0"]
 
 
